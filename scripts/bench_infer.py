@@ -8,7 +8,7 @@ configuration and writes machine-readable JSON to
     PYTHONPATH=src python scripts/bench_infer.py          # full run
     PYTHONPATH=src python scripts/bench_infer.py --smoke  # CI-sized
 
-Three measurements:
+Two measurements:
 
 * ``fused`` — the graph ``forward`` under ``no_grad`` vs the fused
   ``forward_inference`` kernel (:mod:`repro.models.fused`), same
@@ -24,15 +24,9 @@ Three measurements:
   them through float32 casts and the throughput target (>= 1.3x) is
   reported, not gated — the JSON discloses the measured ratio either
   way.
-* ``scaling`` — gadgets/sec through ``ScorerPool`` at increasing
-  worker counts vs the serial path, with the machine's CPU count
-  disclosed.  On a single-CPU container the curve is flat-to-negative
-  (process scoring adds IPC without adding cores) and is reported
-  ungated, exactly like BENCH_engine.json's compute ratio.
 
-``--smoke`` shrinks the corpus and skips the multi-worker sweep so CI
-finishes in seconds; CI asserts the JSON contract and the bit-identity
-flag, never throughput ratios.
+``--smoke`` shrinks the corpus so CI finishes in seconds; CI asserts
+the JSON contract and the bit-identity flag, never throughput ratios.
 """
 
 from __future__ import annotations
@@ -53,7 +47,6 @@ from repro.core.encode import encode_gadgets  # noqa: E402
 from repro.core.extract import extract_gadgets  # noqa: E402
 from repro.core.score import (SCORE_MIN_LENGTH,  # noqa: E402
                               predict_proba)
-from repro.core.scorer_pool import ScorerPool  # noqa: E402
 from repro.datasets.sard import generate_sard_corpus  # noqa: E402
 from repro.models.sevuldet import (DECISION_THRESHOLD,  # noqa: E402
                                    SEVulDetNet)
@@ -63,9 +56,6 @@ from repro.nn.quantize import apply_inference_dtype  # noqa: E402
 
 TARGET_FUSED = 1.15
 TARGET_FLOAT16 = 1.3
-#: pool speedup gate; only meaningful with >= 2 CPUs (IPC
-#: cannot add cores on a single-CPU runner)
-TARGET_POOL = 1.2
 DTYPES = ("float32", "float16", "int8")
 
 
@@ -136,9 +126,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--repeats", type=int, default=None,
                         help="timed passes per config, best kept "
                              "(default 3, smoke 1)")
-    parser.add_argument("--max-workers", type=int, default=None,
-                        help="largest ScorerPool size in the scaling "
-                             "sweep (default: min(4, cpu count))")
     parser.add_argument("--output", type=Path,
                         default=ROOT / "benchmarks" / "results"
                         / "BENCH_infer.json")
@@ -209,44 +196,6 @@ def main(argv: list[str] | None = None) -> int:
               f"max |dprob|={row['max_abs_delta']:.2e}, "
               f"flips={row['flips_at_threshold']}/{len(samples)}")
 
-    # -- cores vs throughput -------------------------------------------------
-    serial_gps = round(len(samples)
-                       / max(dtype_rows["float32"]["seconds"], 1e-9),
-                       2)
-    max_workers = (args.max_workers
-                   or (1 if args.smoke else min(4, max(cpus, 2))))
-    curve = {"serial_gadgets_per_sec": serial_gps, "workers": {}}
-    worker_counts = sorted({1, max_workers} | (
-        {2} if max_workers >= 2 else set()))
-    identical_across_pool = True
-    for count in worker_counts:
-        with ScorerPool(model, workers=count) as pool:
-            pool.score_samples(samples, args.batch_size)  # warm spawn
-            seconds, times, scores = best_time(
-                lambda p=pool: p.score_samples(samples,
-                                               args.batch_size),
-                repeats)
-        if not np.array_equal(np.asarray(scores), fused_scores):
-            identical_across_pool = False
-        curve["workers"][str(count)] = {
-            "seconds": round(seconds, 4),
-            "all_runs_seconds": times,
-            "gadgets_per_sec": round(len(samples) / seconds, 2),
-            "speedup_vs_serial": round(
-                serial_gps and (len(samples) / seconds) / serial_gps,
-                2),
-        }
-        print(f"pool x{count}: "
-              f"{curve['workers'][str(count)]['gadgets_per_sec']} "
-              f"gadgets/s "
-              f"({curve['workers'][str(count)]['speedup_vs_serial']}x "
-              f"vs serial)")
-    best_pool = max(row["speedup_vs_serial"]
-                    for row in curve["workers"].values())
-    if cpus < 2:
-        print("  [single CPU: process scoring cannot add throughput; "
-              "curve reported, not gated]")
-
     f16_speedup = dtype_rows["float16"]["speedup_vs_float32"]
     report = {
         "benchmark": "infer",
@@ -268,15 +217,8 @@ def main(argv: list[str] | None = None) -> int:
             "bit_identical": bit_identical,
         },
         "dtypes": dtype_rows,
-        "scaling": dict(
-            curve,
-            identical=identical_across_pool,
-            note=("process pool over shared-memory weights; on a "
-                  "single-CPU machine the curve is reported, not "
-                  "gated — IPC cannot add cores")),
         "targets": {"fused_speedup": TARGET_FUSED,
-                    "float16_speedup": TARGET_FLOAT16,
-                    "pool_speedup": TARGET_POOL},
+                    "float16_speedup": TARGET_FLOAT16},
         "targets_met": {
             "fused_speedup": fused_speedup >= TARGET_FUSED,
             "fused_bit_identical": bit_identical,
@@ -286,12 +228,6 @@ def main(argv: list[str] | None = None) -> int:
             "flip_rate_zero": all(
                 row["flips_at_threshold"] == 0
                 for row in dtype_rows.values()),
-            # None = not applicable: single CPU (a process pool
-            # cannot beat serial without a second core) or a smoke
-            # run (the sweep stops at one worker)
-            "pool_speedup": (best_pool >= TARGET_POOL
-                             if cpus >= 2 and not args.smoke
-                             else None),
         },
     }
     args.output.parent.mkdir(parents=True, exist_ok=True)
@@ -302,17 +238,9 @@ def main(argv: list[str] | None = None) -> int:
         print("error: fused forward diverged from the graph forward "
               "at float32", file=sys.stderr)
         return 1
-    if not identical_across_pool:
-        print("error: ScorerPool scores diverged from the serial "
-              "path", file=sys.stderr)
-        return 1
     if not args.smoke and fused_speedup < TARGET_FUSED:
         print("warning: fused speedup target not met",
               file=sys.stderr)
-        return 1
-    if not args.smoke and cpus >= 2 and best_pool < TARGET_POOL:
-        print(f"warning: pool speedup target not met on a "
-              f"{cpus}-cpu machine", file=sys.stderr)
         return 1
     return 0
 

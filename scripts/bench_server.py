@@ -2,8 +2,7 @@
 """Benchmark the always-on scan server under saturating client load.
 
 Trains a small detector, launches the real daemon (``python -m repro
-serve``, process-backed scorer over shared-memory weights) as a
-subprocess, then drives it over its unix socket and writes the
+serve``) as a subprocess, then drives it over its unix socket and writes the
 measurements to ``benchmarks/results/BENCH_server.json``::
 
     PYTHONPATH=src python scripts/bench_server.py          # full run
@@ -62,14 +61,14 @@ TARGET_BATCH_FILL = 0.15  # "materially above": >= ~3.4x baseline
 
 
 def start_daemon(model_path: Path, socket_path: Path, *,
-                 workers: int, batch_size: int, scorer: str,
+                 workers: int, batch_size: int,
                  max_pending: int) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",
          "--model", str(model_path), "--socket", str(socket_path),
          "--workers", str(workers), "--batch-size", str(batch_size),
-         "--scorer", scorer, "--max-pending", str(max_pending)],
+         "--max-pending", str(max_pending)],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True)
     deadline = time.time() + 120
@@ -243,13 +242,11 @@ def main(argv: list[str] | None = None) -> int:
                              "--max-pending); deeper windows keep the "
                              "scorer queue full between dispatches")
     parser.add_argument("--workers", type=int, default=2,
-                        help="daemon scorer worker processes")
+                        help="daemon scorer threads")
     parser.add_argument("--batch-size", type=int, default=32,
                         help="scorer batch capacity; sized to the "
                              "length-grouped traffic so fill is "
                              "meaningful, not padded with headroom")
-    parser.add_argument("--scorer", default="process",
-                        choices=("process", "thread"))
     parser.add_argument("--max-pending", type=int, default=32)
     parser.add_argument("--output", type=Path,
                         default=ROOT / "benchmarks" / "results"
@@ -270,12 +267,10 @@ def main(argv: list[str] | None = None) -> int:
         model_path = Path(tmp) / "model.npz"
         socket_path = Path(tmp) / "scan.sock"
         detector.save(model_path)
-        print(f"starting daemon (scorer={args.scorer}, "
-              f"workers={args.workers}) ...")
+        print(f"starting daemon (workers={args.workers}) ...")
         daemon = start_daemon(model_path, socket_path,
                               workers=args.workers,
                               batch_size=args.batch_size,
-                              scorer=args.scorer,
                               max_pending=args.max_pending)
         address = str(socket_path)
         try:
@@ -319,7 +314,7 @@ def main(argv: list[str] | None = None) -> int:
         "mode": "smoke" if args.smoke else "full",
         "dtype": os.environ.get("REPRO_DTYPE", "float32"),
         "corpus": {"train_cases": train_n, "scan_cases": scan_n},
-        "server": {"scorer": args.scorer, "workers": args.workers,
+        "server": {"scorer": "thread", "workers": args.workers,
                    "batch_size": args.batch_size,
                    "max_pending": args.max_pending},
         "load": {"clients": clients, "rounds": rounds,

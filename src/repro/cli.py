@@ -181,10 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="function-level incremental gadget cache "
                            "directory; --diff/--watch default to a "
                            "per-run temporary one")
-    scan.add_argument("--case-timeout", type=float, default=None,
-                      help="per-case extraction wall-clock budget in "
-                           "seconds; hanging cases are skipped and "
-                           "quarantined instead of wedging the scan")
     scan.add_argument("--quarantine", type=Path, default=None,
                       help="poison-case quarantine list (.jsonl)")
     scan.add_argument("--quarantine-retry-after", type=int,
@@ -204,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser(
         "serve",
         help="run the always-on scan server (shared model, "
-             "process-backed scoring, verdict cache)")
+             "batched scoring, verdict cache)")
     serve.add_argument("--model", type=Path, required=True)
     serve.add_argument("--socket", type=Path, default=None,
                        help="listen on this unix socket path "
@@ -215,27 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP bind port (0 picks a free one, "
                             "printed on startup)")
     serve.add_argument("--workers", type=int, default=2,
-                       help="scorer workers (processes for the "
-                            "default backend)")
+                       help="scorer threads")
     serve.add_argument("--batch-size", type=int, default=64,
                        help="micro-batch size for gadget scoring")
-    serve.add_argument("--scorer",
-                       choices=("process", "thread"),
-                       default="process",
-                       help="scoring backend (default: worker "
-                            "processes over shared-memory "
-                            "weights)")
     serve.add_argument("--max-pending", type=int, default=64,
                        help="per-client in-flight budget; scans "
                             "over it are shed immediately")
-    serve.add_argument("--max-restarts", type=int, default=3,
-                       help="dead scorer workers respawned per "
-                            "--restart-window before the service "
-                            "falls back to degraded in-process "
-                            "scoring (0 disables self-healing)")
-    serve.add_argument("--restart-window", type=float, default=30.0,
-                       help="sliding window (seconds) for the "
-                            "--max-restarts budget")
     serve.add_argument("--dispatchers", type=int, default=2,
                        help="dispatcher threads batching admitted "
                             "requests into scan_cases calls")
@@ -446,7 +427,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     ctx = _run_context(args)  # scan --workers = scorer threads
     detector = SEVulDet(scale=_resolve_scale(args),
                         cache=ctx.cache,
-                        case_timeout=ctx.case_timeout,
                         quarantine=ctx.quarantine)
     detector.load(args.model)
     if args.threshold is not None:
@@ -544,12 +524,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         print(f"  result cache: {cache['hits']} hit(s), "
               f"{cache['misses']} miss(es) "
               f"(rate {cache['hit_rate']:.2f})")
-        resilience = stats["resilience"]
-        print(f"  resilience: health={resilience['health']} "
-              f"scorer={resilience['scorer']}, "
-              f"{resilience['respawns']} respawn(s), "
-              f"{resilience['fallbacks']} fallback(s), "
-              f"{resilience['retries']} rescored submit(s)")
         print(service.telemetry.summary())
     return exit_code
 
@@ -699,13 +673,9 @@ def _cmd_scan_connect(args: argparse.Namespace) -> int:
               f"reload(s), {server['clients']} client(s), "
               f"scorer={server['scorer']}, "
               f"health={server['health']}")
-        resilience = service.get("resilience")
-        if resilience:
-            print(f"  resilience: {resilience['respawns']} "
-                  f"respawn(s), {resilience['fallbacks']} "
-                  f"fallback(s), {server['deadline_expired']} "
-                  f"deadline-expired, {server['conn_drops']} "
-                  f"conn drop(s)")
+        print(f"  resilience: {server['deadline_expired']} "
+              f"deadline-expired, {server['conn_drops']} "
+              f"conn drop(s)")
         if fill.get("count"):
             print(f"  batch fill mean={fill['mean']:.2f} "
                   f"p95={fill['p95']:.2f}")
@@ -717,7 +687,6 @@ def _cmd_scan_connect(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .core.scorer_pool import RestartPolicy
     from .core.server import ScanServer
 
     server = ScanServer(
@@ -727,17 +696,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=(None if args.socket is not None
               else (args.host or "127.0.0.1")),
         port=args.port, workers=args.workers,
-        batch_size=args.batch_size, scorer=args.scorer,
+        batch_size=args.batch_size,
         max_pending=args.max_pending, dispatchers=args.dispatchers,
-        cache_capacity=args.cache_capacity,
-        restart_policy=RestartPolicy(
-            max_restarts=args.max_restarts,
-            window_s=args.restart_window))
+        cache_capacity=args.cache_capacity)
     server.start()
     # announced on stdout so wrappers (and the benchmark harness) can
     # learn the picked TCP port; flush before blocking forever
     print(f"serving on {server.address} "
-          f"(scorer={args.scorer}, workers={args.workers})",
+          f"(workers={args.workers})",
           flush=True)
     try:
         server.serve_forever()

@@ -74,6 +74,8 @@ class SEVulDet:
         case_timeout: per-case extraction wall-clock budget in
             seconds (None disables); a hanging case is skipped and
             quarantined instead of wedging :meth:`fit`.
+            :class:`~repro.core.serve.ScanService` refuses a detector
+            with a budget set: it cannot enforce one.
         quarantine: poison-case list (Quarantine or JSONL path) shared
             by :meth:`fit` and :meth:`detect_case`.
         telemetry: extraction + training stage timings and counters,

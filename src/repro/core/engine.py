@@ -309,50 +309,22 @@ class ScoreStage(Stage):
     :func:`~repro.core.score.predict_proba` over the concatenated
     corpus because bucketing groups by *exact* length — a row's padded
     representation never depends on its batch-mates.
-
-    With ``workers >= 1`` the stage scores across a
-    :class:`~repro.core.scorer_pool.ScorerPool` of spawn processes
-    (the same pool implementation the scan server's process backend
-    uses): weights are exported to shared memory once in :meth:`open`
-    and every chunk's length-bucketed batches fan out over the
-    workers.  Bucketing and padding are identical to the serial path,
-    so scores stay byte-identical — only the throughput changes.
     """
 
     name = "score"
     streaming = True
 
-    def __init__(self, model, vocab, *, batch_size: int = 128,
-                 workers: int = 0):
+    def __init__(self, model, vocab, *, batch_size: int = 128):
         self.model = model
         self.vocab = vocab
         self.batch_size = batch_size
-        self.workers = workers
-        self._pool = None
-
-    def open(self, ctx: RunContext) -> None:
-        if self.workers >= 1:
-            from .scorer_pool import ScorerPool
-
-            self.model.eval()
-            self._pool = ScorerPool(self.model, self.workers,
-                                    telemetry=ctx.telemetry)
-
-    def close(self, ctx: RunContext) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
 
     def process(self, chunk: Sequence[LabeledGadget], ctx: RunContext
                 ) -> tuple[list[LabeledGadget], np.ndarray]:
         gadgets = list(chunk)
         samples = [g.sample(self.vocab) for g in gadgets]
-        if self._pool is not None:
-            scores = self._pool.score_samples(
-                samples, batch_size=self.batch_size)
-        else:
-            scores = predict_proba(self.model, samples,
-                                   batch_size=self.batch_size)
+        scores = predict_proba(self.model, samples,
+                               batch_size=self.batch_size)
         return gadgets, scores
 
 

@@ -12,11 +12,10 @@ editor integrations):
   :class:`~repro.core.resilience.Quarantine` exactly like ``fit``, so
   repeated scans of unchanged files skip the frontend and known-poison
   cases are skipped up front;
-* gadget scoring flows through a micro-batching :class:`Scorer`
-  (thread-backed :class:`ThreadScorer` or process-backed
-  :class:`ProcessScorer`): submissions from any number of cases are
-  drained from a bounded queue, grouped by padded
-  length, and scored in large batches under ``no_grad``.  Because
+* gadget scoring flows through a micro-batching
+  :class:`ThreadScorer`: submissions from any number of cases are
+  drained from a bounded queue, grouped by padded length, and scored
+  in large batches under ``no_grad``.  Because
   :func:`~repro.nn.data.bucketed_batches` groups by *exact* length, a
   row's padded representation — and therefore its score — never
   depends on which batch it lands in: verdicts are byte-identical to
@@ -33,16 +32,6 @@ Telemetry (queue depth, batch fill, per-case latency, cases/sec, cache
 hit rates) accumulates on a service-lifetime
 :class:`~repro.core.telemetry.Telemetry`; :meth:`ScanService.stats`
 summarizes it and the CLI prints it under ``scan --stats``.
-
-The service self-heals (PR 8): the process pool respawns dead workers
-and resubmits their batches under a bounded
-:class:`~repro.core.scorer_pool.RestartPolicy`; if the pool breaks
-anyway, the service demotes down the circuit-breaker chain
-``process → thread → inline`` (:data:`_FALLBACK_CHAIN`) and rescores
-affected cases there — slower, byte-identical verdicts, never a lost
-one.  :meth:`ScanService.health` reports ``ready`` / ``degraded`` /
-``draining`` and ``stats()["resilience"]`` carries the
-respawn/fallback/retry counters.
 """
 
 from __future__ import annotations
@@ -64,13 +53,10 @@ from .detector import Finding, SEVulDet
 from .engine import Engine, ExtractStage, RunContext, Stage
 from .extract import CaseResult
 from .score import SCORE_MIN_LENGTH
-from .scorer_pool import PoolBroken, RestartPolicy, ScorerPool
 from .telemetry import Telemetry
 
-__all__ = ["CaseVerdict", "ResultCache", "ShardedResultCache",
-           "ScanService", "Scorer", "ThreadScorer", "ProcessScorer",
-           "InlineScorer", "PoolBroken", "expand_scan_paths",
-           "case_for_file"]
+__all__ = ["CaseVerdict", "ResultCache", "ScanService", "ThreadScorer",
+           "expand_scan_paths", "case_for_file"]
 
 
 def expand_scan_paths(paths: Iterable[str | Path],
@@ -202,52 +188,6 @@ class ResultCache:
         return self.hits / total if total else 0.0
 
 
-class ShardedResultCache:
-    """N independent :class:`ResultCache` shards selected by
-    fingerprint prefix.
-
-    The scan server's dispatcher threads all hit the result cache on
-    every request; one LRU behind one lock would serialize them.
-    Fingerprints are sha256 hex, so their leading bytes spread
-    uniformly — each shard sees ~1/N of the traffic and contention
-    drops N-fold.  The interface matches :class:`ResultCache`, so
-    :class:`ScanService` accepts either.
-    """
-
-    def __init__(self, capacity: int = 4096, shards: int = 8):
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        per_shard = max(1, capacity // shards) if capacity else 0
-        self.shards = tuple(ResultCache(per_shard)
-                            for _ in range(shards))
-
-    def _shard(self, fingerprint: str) -> ResultCache:
-        return self.shards[int(fingerprint[:8], 16)
-                           % len(self.shards)]
-
-    def get(self, fingerprint: str, token: str) -> CaseVerdict | None:
-        return self._shard(fingerprint).get(fingerprint, token)
-
-    def put(self, fingerprint: str, token: str,
-            verdict: CaseVerdict) -> None:
-        self._shard(fingerprint).put(fingerprint, token, verdict)
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self.shards)
-
-    @property
-    def hits(self) -> int:
-        return sum(shard.hits for shard in self.shards)
-
-    @property
-    def misses(self) -> int:
-        return sum(shard.misses for shard in self.shards)
-
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
 class _Pending:
     """One submitted case's rows awaiting their scores.
 
@@ -256,17 +196,14 @@ class _Pending:
     the waiter wakes once the last row lands.
     """
 
-    __slots__ = ("rows", "scores", "error", "done", "scorer",
-                 "_lock", "_remaining")
+    __slots__ = ("rows", "scores", "error", "done", "_lock",
+                 "_remaining")
 
     def __init__(self, rows: list[list[int]]):
         self.rows = rows  # padded token-id rows
         self.scores = np.zeros(len(rows))
         self.error: BaseException | None = None
         self.done = threading.Event()
-        #: the scorer that accepted this case — lets the service
-        #: resubmit the rows elsewhere when that scorer's pool breaks
-        self.scorer: "Scorer | None" = None
         self._lock = threading.Lock()
         self._remaining = len(rows)
         if not rows:
@@ -295,65 +232,49 @@ class _Pending:
 _STOP = object()
 
 
-class Scorer:
-    """Micro-batching scorer interface behind :class:`ScanService`.
+class ThreadScorer:
+    """Micro-batching scorer behind :class:`ScanService`.
 
-    Case submissions land in a bounded queue; a drain loop blocks for
-    one, then greedily takes more until it holds ``batch_size * 4``
-    rows — under load batches fill to ``batch_size``, under trickle
-    traffic a lone case is scored immediately (no
-    latency-vs-throughput timer to tune).  Rows from all drained cases
-    are grouped by their padded length (identical to the serial
-    scorer's bucketing, so scores are byte-identical to
+    Case submissions land in a bounded queue; each of ``workers``
+    threads blocks for one, then greedily takes more until it holds
+    ``batch_size * 4`` rows — under load batches fill to
+    ``batch_size``, under trickle traffic a lone case is scored
+    immediately (no latency-vs-throughput timer to tune).  Rows from
+    all drained cases are grouped by their padded length (identical to
+    the serial scorer's bucketing, so scores are byte-identical to
     :func:`~repro.core.score.predict_proba`) and scored in chunks of
     ``batch_size`` under ``no_grad``.
-
-    Two backends share that policy and differ only in where the
-    forward pass runs:
-
-    * :class:`ThreadScorer` — N worker threads in-process.  Zero setup
-      cost, but numpy-bound forwards contend on the GIL between the
-      pure-Python stretches.
-    * :class:`ProcessScorer` — N worker *processes* with the model
-      weights mapped once into shared memory.  The forward pass
-      escapes the GIL entirely; this is the scan server's backend.
     """
 
-    def __init__(self, batch_size: int, workers: int, telemetry):
+    def __init__(self, model, batch_size: int, workers: int,
+                 telemetry):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        self.model = model
         self.batch_size = batch_size
         self.workers = workers
         self.telemetry = telemetry
         self._queue: queue.Queue = queue.Queue(
             maxsize=max(workers * 16, 64))
         self._closed = False
-
-    # -- submission ----------------------------------------------------------
-
-    def _make_pending(self,
-                      samples: Sequence[Sequence[int]]) -> _Pending:
-        """Pad rows and tag the pending with its accepting scorer.
-
-        Padding is idempotent (``max(len(ids), SCORE_MIN_LENGTH)`` is
-        a no-op on an already-padded row), so a pending's rows can be
-        resubmitted verbatim to a fallback scorer and still produce
-        byte-identical scores.
-        """
-        pending = _Pending([
-            pad_or_truncate(ids, max(len(ids), SCORE_MIN_LENGTH))
-            for ids in samples
-        ])
-        pending.scorer = self
-        return pending
+        self._threads = [
+            threading.Thread(target=self._worker, daemon=True,
+                             name=f"scan-scorer-{i}")
+            for i in range(workers)
+        ]
+        for thread in self._threads:
+            thread.start()
 
     def submit(self, samples: Sequence[Sequence[int]]) -> _Pending:
         """Queue one case's token-id sequences for scoring."""
         if self._closed:
             raise RuntimeError("scorer is closed")
-        pending = self._make_pending(samples)
+        pending = _Pending([
+            pad_or_truncate(ids, max(len(ids), SCORE_MIN_LENGTH))
+            for ids in samples
+        ])
         if pending.rows:
             self.telemetry.observe("scan_queue_depth",
                                    self._queue.qsize())
@@ -361,19 +282,17 @@ class Scorer:
         return pending
 
     def health(self) -> dict:
-        """Backend health; overridden where workers can die."""
+        """``ok`` while accepting work, ``closed`` after :meth:`close`."""
         return {"status": "closed" if self._closed else "ok"}
 
     def close(self) -> None:
-        raise NotImplementedError
-
-    def __enter__(self) -> "Scorer":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    # -- shared batching policy ----------------------------------------------
+        """Drain queued submissions, then join the workers."""
+        if self._closed:
+            return
+        self._closed = True
+        self._queue.put(_STOP)
+        for thread in self._threads:
+            thread.join()
 
     def _drain(self) -> list[_Pending] | None:
         """Block for one submission, then greedily take more; None
@@ -415,39 +334,6 @@ class Scorer:
                     dtype=np.int64)
                 yield chunk, ids
 
-    def _record_batch(self, chunk) -> None:
-        self.telemetry.observe("scan_batch_fill",
-                               len(chunk) / self.batch_size)
-        self.telemetry.count("scan_batches")
-        self.telemetry.count("scan_scored_gadgets", len(chunk))
-
-    def _poison(self) -> None:
-        self._queue.put(_STOP)
-
-
-class ThreadScorer(Scorer):
-    """In-process backend: worker threads score under ``no_grad``."""
-
-    def __init__(self, model, batch_size: int, workers: int,
-                 telemetry):
-        super().__init__(batch_size, workers, telemetry)
-        self.model = model
-        self._threads = [
-            threading.Thread(target=self._worker, daemon=True,
-                             name=f"scan-scorer-{i}")
-            for i in range(workers)
-        ]
-        for thread in self._threads:
-            thread.start()
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._poison()
-        for thread in self._threads:
-            thread.join()
-
     def _worker(self) -> None:
         while True:
             jobs = self._drain()
@@ -461,139 +347,13 @@ class ThreadScorer(Scorer):
                         for pending, _ in chunk:
                             pending._fail(error)
                         continue
-                    self._record_batch(chunk)
+                    self.telemetry.observe("scan_batch_fill",
+                                           len(chunk) / self.batch_size)
+                    self.telemetry.count("scan_batches")
+                    self.telemetry.count("scan_scored_gadgets",
+                                         len(chunk))
                     for (pending, index), score in zip(chunk, scores):
                         pending._complete(index, float(score))
-
-
-class ProcessScorer(Scorer):
-    """Multi-process backend: the GIL-free scoring path.
-
-    The parent keeps the batching policy (one dispatcher thread drains
-    the submission queue and forms length-grouped batches — identical
-    grouping to :class:`ThreadScorer`, so scores stay byte-identical)
-    and feeds batches to a shared
-    :class:`~repro.core.scorer_pool.ScorerPool` — the one process-pool
-    implementation this backend shares with the engine's
-    ``ScoreStage(workers=N)`` mode.  Model weights cross the process
-    boundary once, as a :class:`~repro.nn.serialize.SharedWeights`
-    block every worker maps read-only; the pool's collector thread
-    routes results back to their :class:`_Pending` entries and fails
-    affected scans when workers die instead of hanging them.
-    """
-
-    def __init__(self, model, batch_size: int, workers: int,
-                 telemetry, *, start_method: str = "spawn",
-                 restart_policy: RestartPolicy | None = None):
-        super().__init__(batch_size, workers, telemetry)
-        self._pool = ScorerPool(model, workers,
-                                start_method=start_method,
-                                restart_policy=restart_policy,
-                                telemetry=telemetry)
-        self._dispatcher = threading.Thread(
-            target=self._dispatch, daemon=True,
-            name="scan-scorer-dispatch")
-        self._dispatcher.start()
-
-    def submit(self, samples: Sequence[Sequence[int]]) -> _Pending:
-        if self._pool.broken is not None:
-            raise PoolBroken(
-                f"scorer workers died: {self._pool.broken}")
-        return super().submit(samples)
-
-    def health(self) -> dict:
-        if self._closed:
-            return {"status": "closed"}
-        return self._pool.health()
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._poison()
-        self._dispatcher.join()  # drains queued submissions first
-        self._pool.close()
-
-    def _infra_failure(self, message: str) -> RuntimeError:
-        """Typed failure: pool breakage (retryable on a fallback
-        backend) vs a per-job model error (would recur anywhere)."""
-        if self._pool.broken is not None:
-            return PoolBroken(message)
-        return RuntimeError(message)
-
-    def _dispatch(self) -> None:
-        while True:
-            jobs = self._drain()
-            if jobs is None:
-                return
-            for chunk, ids in self._grouped(jobs):
-                self._record_batch(chunk)
-                try:
-                    self._pool.submit(ids, chunk, self._deliver)
-                except RuntimeError as error:
-                    # pool broken mid-drain: fail this chunk instead
-                    # of dropping it silently
-                    failure = self._infra_failure(str(error))
-                    for pending, _ in chunk:
-                        pending._fail(failure)
-
-    def _deliver(self, chunk, scores, error) -> None:
-        """Pool callback: route one batch's result to its cases."""
-        if error is not None:
-            failure = self._infra_failure(
-                f"scorer worker failed: {error}")
-            for pending, _ in chunk:
-                pending._fail(failure)
-            return
-        for (pending, index), score in zip(chunk, scores):
-            pending._complete(index, float(score))
-
-
-class InlineScorer(Scorer):
-    """Terminal fallback: serial ``predict_proba`` on the submitting
-    thread.
-
-    No queue, no workers — :meth:`submit` scores the case before
-    returning, with the same length-grouping as the batched backends,
-    so verdicts stay byte-identical while the only remaining failure
-    domain is the caller's own thread.  Slow under load by design:
-    this is the degraded mode that keeps a scan answering after both
-    process and thread backends are gone.
-    """
-
-    def __init__(self, model, batch_size: int, workers: int,
-                 telemetry):
-        super().__init__(batch_size, workers, telemetry)
-        self.model = model
-
-    def submit(self, samples: Sequence[Sequence[int]]) -> _Pending:
-        if self._closed:
-            raise RuntimeError("scorer is closed")
-        pending = self._make_pending(samples)
-        if pending.rows:
-            with no_grad():
-                for chunk, ids in self._grouped([pending]):
-                    try:
-                        scores = self.model.predict_proba(ids)
-                    except BaseException as error:
-                        for job, _ in chunk:
-                            job._fail(error)
-                        continue
-                    self._record_batch(chunk)
-                    for (job, index), score in zip(chunk, scores):
-                        job._complete(index, float(score))
-        return pending
-
-    def close(self) -> None:
-        self._closed = True
-
-
-_SCORER_BACKENDS = {"thread": ThreadScorer, "process": ProcessScorer,
-                    "inline": InlineScorer}
-
-#: Circuit-breaker demotion order: each step trades throughput for a
-#: smaller failure domain; verdicts stay byte-identical at every step.
-_FALLBACK_CHAIN = ("process", "thread", "inline")
 
 
 @dataclass
@@ -659,14 +419,19 @@ class ScanService:
     def __init__(self, detector: SEVulDet, *, workers: int = 2,
                  batch_size: int = 64,
                  result_cache_size: int = 1024,
-                 result_cache: ResultCache | ShardedResultCache
-                 | None = None,
+                 result_cache: ResultCache | None = None,
                  telemetry: Telemetry | None = None,
-                 scorer: str = "thread",
                  dtype: str | None = None,
                  calibration: Sequence[TestCase] | None = None,
-                 restart_policy: RestartPolicy | None = None,
                  fn_cache=None):
+        if detector.case_timeout is not None:
+            # serial extraction (the default) runs on the
+            # scan-extract-drain thread, where the SIGALRM-based budget
+            # cannot fire: refuse it loudly rather than advertise a
+            # limit that is not enforced
+            raise ValueError(
+                "ScanService cannot enforce case_timeout: extraction "
+                "runs off the main thread; unset detector.case_timeout")
         model, self._vocab = detector._require_trained()
         # Reduced-precision serving: quantize before the config token
         # is computed, so cached verdicts can never cross dtypes.
@@ -684,34 +449,14 @@ class ScanService:
         # restarts); config tokens keep shared entries safe.
         self.results = (result_cache if result_cache is not None
                         else ResultCache(result_cache_size))
-        if scorer not in _SCORER_BACKENDS:
-            raise ValueError(
-                f"unknown scorer backend {scorer!r}; choose from "
-                f"{sorted(_SCORER_BACKENDS)}")
-        self._model = model
-        self._batch_size = batch_size
-        self._workers = workers
-        self._restart_policy = restart_policy
         #: function-level incremental extraction cache (a
         #: FunctionGadgetCache or a directory path); when set, changed
         #: files re-slice only their edited call components
         self.fn_cache = fn_cache
-        self.scorer_kind = scorer
-        self._scorer = self._make_scorer(scorer)
-        self._fallback_lock = threading.Lock()
-        self._degraded: str | None = None
-        self._retired: list[threading.Thread] = []
+        self._scorer = ThreadScorer(model, batch_size, workers,
+                                    self.telemetry)
         self._submit_lock = threading.Lock()
         self._closed = False
-
-    def _make_scorer(self, kind: str) -> Scorer:
-        backend = _SCORER_BACKENDS[kind]
-        if backend is ProcessScorer:
-            return ProcessScorer(self._model, self._batch_size,
-                                 self._workers, self.telemetry,
-                                 restart_policy=self._restart_policy)
-        return backend(self._model, self._batch_size, self._workers,
-                       self.telemetry)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -719,12 +464,7 @@ class ScanService:
         """Drain and join the scoring workers (idempotent)."""
         if not self._closed:
             self._closed = True
-            with self._fallback_lock:
-                scorer = self._scorer
-                retired = list(self._retired)
-            scorer.close()
-            for thread in retired:  # demoted backends mid-teardown
-                thread.join(timeout=30.0)
+            self._scorer.close()
 
     def __enter__(self) -> "ScanService":
         return self
@@ -807,7 +547,6 @@ class ScanService:
                 fn_cache=self.fn_cache,
                 quarantine=detector.quarantine,
                 telemetry=self.telemetry,
-                case_timeout=detector.case_timeout,
                 workers=detector.workers)
             engine = Engine(
                 ExtractStage(detector.gadget_kind,
@@ -888,63 +627,10 @@ class ScanService:
                     status="skipped", reason=result.failure.reason))
             return entry
         entry.gadgets = result.gadgets
-        entry.pending = self._submit_samples(
+        entry.pending = self._scorer.submit(
             [g.sample(self._vocab).token_ids
              for g in result.gadgets])
         return entry
-
-    # -- self-healing --------------------------------------------------------
-
-    def _demote(self, failed: Scorer, reason: str) -> Scorer:
-        """Circuit-breaker step: replace ``failed`` with the next
-        backend down :data:`_FALLBACK_CHAIN`.
-
-        Idempotent under concurrency — if another thread already
-        swapped the scorer (or the service is closing), the current
-        scorer is returned untouched; when the chain is exhausted the
-        failed scorer itself comes back and the caller re-raises.
-        """
-        with self._fallback_lock:
-            if self._scorer is not failed or self._closed:
-                return self._scorer
-            index = (_FALLBACK_CHAIN.index(self.scorer_kind)
-                     if self.scorer_kind in _FALLBACK_CHAIN else 0)
-            if index + 1 >= len(_FALLBACK_CHAIN):
-                return self._scorer  # nothing left to fall back to
-            next_kind = _FALLBACK_CHAIN[index + 1]
-            replacement = self._make_scorer(next_kind)
-            self._scorer = replacement
-            self.scorer_kind = next_kind
-            self._degraded = reason
-            self.telemetry.count("scan_fallbacks")
-            self.telemetry.event("scorer_fallback", to=next_kind,
-                                 reason=str(reason)[:200])
-        # retire the dead backend off the hot path; its close() joins
-        # workers and may take seconds.  close() joins these threads
-        # so a service teardown never leaves a half-closed pool whose
-        # queue feeder would wedge interpreter exit.
-        retire = threading.Thread(target=failed.close, daemon=True,
-                                  name="scan-scorer-retire")
-        with self._fallback_lock:
-            self._retired.append(retire)
-        retire.start()
-        return replacement
-
-    def _submit_samples(self, samples) -> _Pending:
-        """Submit through the current scorer, demoting past broken
-        backends; only infrastructure failures (:class:`PoolBroken`)
-        trigger fallback — model errors would recur anywhere."""
-        scorer = self._scorer
-        while True:
-            try:
-                return scorer.submit(samples)
-            except PoolBroken as error:
-                self.telemetry.count("scan_retries")
-                replacement = self._demote(
-                    scorer, f"scorer pool broken: {error}")
-                if replacement is scorer:
-                    raise
-                scorer = replacement
 
     def _resolve_case(self, entry: _CaseWork) -> CaseVerdict:
         if entry.verdict is not None:
@@ -956,24 +642,7 @@ class ScanService:
             entry.verdict = self._resolve_case(entry.leader)
             return entry.verdict
         assert entry.pending is not None
-        while True:
-            try:
-                scores = entry.pending.result()
-                break
-            except PoolBroken as error:
-                # the pool died holding this case: demote and rescore
-                # the same padded rows on the fallback backend —
-                # padding is idempotent, so the verdict is unchanged
-                self.telemetry.count("scan_retries")
-                failed = entry.pending.scorer or self._scorer
-                replacement = self._demote(
-                    failed, f"scorer pool broken: {error}")
-                if replacement is failed:
-                    raise
-                # _submit_samples so a fallback that breaks mid-swap
-                # cascades down the chain instead of raising here
-                entry.pending = self._submit_samples(
-                    entry.pending.rows)
+        scores = entry.pending.result()
         findings = self.detector.findings_from(
             entry.case.name, entry.gadgets, scores)
         verdict = CaseVerdict(
@@ -997,26 +666,13 @@ class ScanService:
     # -- introspection -------------------------------------------------------
 
     def health(self) -> dict:
-        """Service health for the server's ``health`` op.
-
-        ``ready`` — primary backend at full strength; ``degraded`` —
-        serving on a fallback backend or with lost pool workers
-        (verdicts unaffected, throughput reduced); ``draining`` —
-        closed, rejecting new scans.
-        """
-        scorer_health = self._scorer.health()
-        if self._closed:
-            status = "draining"
-        elif (self._degraded is not None
-              or scorer_health["status"] not in ("ok",)):
-            status = "degraded"
-        else:
-            status = "ready"
+        """Service health for the server's ``health`` op: ``ready``
+        while serving, ``draining`` once closed."""
         return {
-            "status": status,
-            "scorer": self.scorer_kind,
-            "scorer_health": scorer_health,
-            "degraded_reason": self._degraded,
+            "status": "draining" if self._closed else "ready",
+            "scorer": "thread",
+            "scorer_health": self._scorer.health(),
+            "degraded_reason": None,
         }
 
     def stats(self) -> dict:
@@ -1041,13 +697,7 @@ class ScanService:
                 telemetry.observation_stats("scan_queue_depth"),
             "resilience": {
                 "health": self.health()["status"],
-                "scorer": self.scorer_kind,
-                "fallbacks": telemetry.get("scan_fallbacks"),
-                "retries": telemetry.get("scan_retries"),
-                "worker_deaths": telemetry.get("pool_worker_deaths"),
-                "respawns": telemetry.get("pool_respawns"),
-                "resubmitted_jobs":
-                    telemetry.get("pool_resubmitted_jobs"),
-                "degraded_reason": self._degraded,
+                "scorer": "thread",
+                "degraded_reason": None,
             },
         }

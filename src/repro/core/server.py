@@ -22,33 +22,26 @@ not once per invocation:
 * **Scoring** — dispatcher threads collect up to ``dispatch_batch``
   admitted requests and hand them to the service as one
   ``scan_cases`` call, which extracts across the batch and feeds the
-  shared micro-batching scorer — this is where the one-file-per-
-  process CLI's ~4%-full batches become full ones.  The default
-  scorer backend is :class:`~repro.core.serve.ProcessScorer`: worker
-  *processes* score against model weights mapped once into shared
-  memory, so forwards do not contend on the GIL.
+  shared micro-batching :class:`~repro.core.serve.ThreadScorer` —
+  this is where the one-file-per-process CLI's ~4%-full batches
+  become full ones.
 * **Hot reload** — ``reload`` builds a completely new service (new
-  detector, new shared-memory weights, new workers) and atomically
-  swaps it in.  In-flight scans finish on the service that admitted
-  them; requests dispatched after the swap score on the new one.
+  detector, new scorer threads) and atomically swaps it in.
+  In-flight scans finish on the service that admitted them; requests
+  dispatched after the swap score on the new one.
   Every scan response carries the ``config_token`` of the service
   that actually scored it, and the verdict cache is keyed by that
   token, so a reload can neither drop a request nor serve a verdict
   computed under a different configuration than the one it reports.
-* **Verdict cache** — one :class:`~repro.core.serve.
-  ShardedResultCache` owned by the *server* and passed to every
-  service generation, so verdicts survive reloads (token-keyed) and
-  dispatcher threads don't serialize on a single cache lock.
-* **Self-healing** — the process pool behind the default scorer
-  respawns dead workers and resubmits their batches
-  (:class:`~repro.core.scorer_pool.RestartPolicy`); if the pool breaks
-  anyway the service demotes ``process → thread → inline`` and keeps
-  answering, slower but byte-identical.  A ``health`` op reports
-  ``ready`` / ``degraded`` / ``draining``; shed responses carry a
-  ``retry_after_ms`` hint; scans may carry a ``deadline_ms`` budget
-  and are answered ``expired`` instead of scored late; ``stop()``
-  answers queued scans with ``shed`` so retrying clients resubmit to
-  the server's successor instead of failing.
+* **Verdict cache** — one :class:`~repro.core.serve.ResultCache`
+  owned by the *server* and passed to every service generation, so
+  verdicts survive reloads (token-keyed).
+* **Robustness** — a ``health`` op reports ``ready`` / ``draining``;
+  shed responses carry a ``retry_after_ms`` hint; scans may carry a
+  ``deadline_ms`` budget and are answered ``expired`` instead of
+  scored late; ``stop()`` answers queued scans with ``shed`` so
+  retrying clients resubmit to the server's successor instead of
+  failing.
 
 Verdict payloads are exactly ``CaseVerdict.as_record()`` — the same
 bytes the offline ``scan`` command writes to ``--jsonl`` — and are
@@ -68,8 +61,7 @@ from ..datasets.manifest import TestCase
 from ..testing import faults
 from .detector import SEVulDet
 from .ipc import (ProtocolError, encode_message, read_message)
-from .scorer_pool import RestartPolicy
-from .serve import ScanService, ShardedResultCache
+from .serve import ResultCache, ScanService
 from .telemetry import Telemetry
 
 __all__ = ["ScanServer", "DEFAULT_SOCKET"]
@@ -83,9 +75,8 @@ class _ServiceHandle:
 
     Dispatchers ``acquire()`` before scanning and ``release()`` after;
     ``retire()`` marks the generation dead and the last release closes
-    the underlying service (joining scorer workers, unlinking shared
-    memory).  In-flight scans therefore always finish on the weights
-    they started with.
+    the underlying service (joining its scorer threads).  In-flight
+    scans therefore always finish on the weights they started with.
     """
 
     def __init__(self, service: ScanService):
@@ -177,12 +168,10 @@ class ScanServer:
                  socket_path: str | Path | None = None,
                  host: str | None = None, port: int = 0,
                  workers: int = 2, batch_size: int = 64,
-                 scorer: str = "process",
                  max_pending: int = 64, dispatchers: int = 2,
                  dispatch_batch: int = 16,
-                 cache_capacity: int = 4096, cache_shards: int = 8,
-                 telemetry: Telemetry | None = None,
-                 restart_policy: RestartPolicy | None = None):
+                 cache_capacity: int = 4096,
+                 telemetry: Telemetry | None = None):
         if model is None and detector is None:
             raise ValueError("need a model path or a detector")
         if socket_path is not None and host is not None:
@@ -201,14 +190,11 @@ class ScanServer:
         self._port = port
         self.workers = workers
         self.batch_size = batch_size
-        self.scorer = scorer
-        self.restart_policy = restart_policy
         self.max_pending = max_pending
         self.dispatch_batch = max(1, dispatch_batch)
         self.telemetry = (telemetry if telemetry is not None
                           else Telemetry())
-        self.results = ShardedResultCache(capacity=cache_capacity,
-                                          shards=cache_shards)
+        self.results = ResultCache(cache_capacity)
         self._handle: _ServiceHandle | None = None
         self._service_lock = threading.Lock()
         self._reload_lock = threading.Lock()
@@ -324,10 +310,8 @@ class ScanServer:
     def _build_service(self, detector: SEVulDet) -> ScanService:
         return ScanService(detector, workers=self.workers,
                            batch_size=self.batch_size,
-                           scorer=self.scorer,
                            result_cache=self.results,
-                           telemetry=self.telemetry,
-                           restart_policy=self.restart_policy)
+                           telemetry=self.telemetry)
 
     def _bind(self) -> socket.socket:
         if self._socket_path is not None:
@@ -601,13 +585,13 @@ class ScanServer:
     def reload(self, model: str | Path | None = None) -> str:
         """Swap in a freshly loaded model; returns its config token.
 
-        The new service (detector, shared-memory weights, scorer
-        workers) is fully built *before* the swap, so the scan path
-        never waits on a model load; the old service keeps scoring
-        its in-flight batches and is closed by the last dispatcher to
-        release it.  Requests still queued at swap time score on the
-        new service — nothing is dropped, and every response names
-        the token that scored it.
+        The new service (detector, scorer threads) is fully built
+        *before* the swap, so the scan path never waits on a model
+        load; the old service keeps scoring its in-flight batches and
+        is closed by the last dispatcher to release it.  Requests
+        still queued at swap time score on the new service — nothing
+        is dropped, and every response names the token that scored
+        it.
         """
         with self._reload_lock:  # serialize concurrent reloads only
             if model is not None:
@@ -622,17 +606,12 @@ class ScanServer:
             return fresh.service.config_token
 
     def health(self) -> dict:
-        """The ``health`` op's payload: ``ready`` / ``degraded`` /
-        ``draining`` plus the scoring backend actually in use.
-
-        ``draining`` while stopping; otherwise the service's own
-        health (``degraded`` = serving on a fallback scorer or with
-        lost pool workers — slower, verdicts unaffected).
-        """
+        """The ``health`` op's payload: ``draining`` while stopping,
+        otherwise the service's own health (``ready``)."""
         with self._service_lock:
             handle = self._handle
         if self._stopping or handle is None:
-            return {"health": "draining", "scorer": self.scorer,
+            return {"health": "draining", "scorer": "thread",
                     "degraded_reason": None}
         service_health = handle.service.health()
         return {
@@ -654,7 +633,7 @@ class ScanServer:
                 "address": self.address,
                 "clients": clients,
                 "queued": queued,
-                "scorer": self.scorer,
+                "scorer": "thread",
                 "health": self.health()["health"],
                 "config_token": (None if handle is None
                                  else handle.service.config_token),

@@ -64,10 +64,10 @@ class InferenceKernel:
 
     Thread-safe: scratch buffers live in ``threading.local`` storage,
     so concurrent ``predict_proba`` calls (the thread scorer) never
-    share a buffer.  Weight rebinding (``bind_state``, quantization)
-    is picked up automatically — weights are read from the live
-    parameters on every call, and the float32 matmul casts kept for
-    float16 models are invalidated by identity check.
+    share a buffer.  Weight rebinding (``load_state_dict``,
+    quantization) is picked up automatically — weights are read from
+    the live parameters on every call, and the float32 matmul casts
+    kept for float16 models are invalidated by identity check.
     """
 
     #: Scratch entries kept per thread before the cache resets; each

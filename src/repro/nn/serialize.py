@@ -1,23 +1,15 @@
-"""Model parameter persistence (npz archives + shared memory).
+"""Model parameter persistence (npz archives).
 
 All writes are atomic: the archive is assembled in a sibling temp file
 that is renamed over the destination, so a crash mid-save (or two
 processes racing on the same path) leaves either the old complete file
 or the new complete file — never a torn archive.
-
-:class:`SharedWeights` is the multi-process serving side: one
-``multiprocessing.shared_memory`` block holds every parameter array
-exactly once, a picklable spec travels to scorer worker processes,
-and each worker rebuilds the arrays as zero-copy read-only views over
-the same physical pages — N scorer processes pay for one copy of the
-model.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from multiprocessing import shared_memory
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +17,7 @@ import numpy as np
 from .dtype import get_default_dtype
 from .layers import Module
 
-__all__ = ["save_npz_atomic", "save_model", "load_model",
-           "SharedWeights", "bind_state"]
+__all__ = ["save_npz_atomic", "save_model", "load_model"]
 
 #: Key style of archives written before parameters had names:
 #: ``param0`` .. ``paramN`` in :meth:`Module.parameters` order.
@@ -48,149 +39,6 @@ def save_npz_atomic(path: str | Path, arrays: dict,
     with temp.open("wb") as handle:
         np.savez(handle, **payload)
     temp.replace(path)
-
-
-class SharedWeights:
-    """Named arrays packed into one shared-memory block.
-
-    Parent side::
-
-        shared = SharedWeights.export(model.state_dict())
-        spec = shared.spec()          # picklable; send to workers
-        ...
-        shared.unlink()               # after every worker detached
-
-    Worker side::
-
-        shared = SharedWeights.attach(spec)
-        model.bind_parameters(...)    # or read shared.arrays()
-        shared.close()                # detach on shutdown
-
-    Worker views are read-only: scoring must never scribble on pages
-    every process shares.  Alignment: each array is placed at an
-    offset rounded up to 64 bytes so views stay cache-line aligned.
-    """
-
-    _ALIGN = 64
-
-    def __init__(self, shm: shared_memory.SharedMemory,
-                 manifest: list[tuple[str, str, tuple, int]],
-                 owner: bool):
-        self._shm = shm
-        self._manifest = manifest
-        self._owner = owner
-        self._unlinked = False
-
-    # -- parent side ---------------------------------------------------------
-
-    @classmethod
-    def export(cls, arrays: dict[str, np.ndarray],
-               name: str | None = None) -> "SharedWeights":
-        """Copy ``arrays`` into a fresh shared-memory block."""
-        manifest: list[tuple[str, str, tuple, int]] = []
-        offset = 0
-        for key in sorted(arrays):
-            array = np.ascontiguousarray(arrays[key])
-            offset = cls._aligned(offset)
-            manifest.append((key, array.dtype.str, array.shape,
-                             offset))
-            offset += array.nbytes
-        shm = shared_memory.SharedMemory(
-            create=True, size=max(offset, 1), name=name)
-        shared = cls(shm, manifest, owner=True)
-        for key, dtype, shape, off in manifest:
-            view = np.ndarray(shape, dtype=dtype, buffer=shm.buf,
-                              offset=off)
-            view[...] = arrays[key]
-        return shared
-
-    @classmethod
-    def _aligned(cls, offset: int) -> int:
-        return (offset + cls._ALIGN - 1) // cls._ALIGN * cls._ALIGN
-
-    def spec(self) -> dict:
-        """Picklable attachment recipe for worker processes."""
-        return {"name": self._shm.name, "manifest": self._manifest}
-
-    # -- worker side ---------------------------------------------------------
-
-    @classmethod
-    def attach(cls, spec: dict) -> "SharedWeights":
-        """Map an exported block created by another process."""
-        shm = shared_memory.SharedMemory(name=spec["name"])
-        # The exporting process owns the block's lifetime.  Worker
-        # processes spawned by it inherit its resource tracker, where
-        # registrations dedup by name — so attaching neither needs an
-        # unregister (which would race the owner's unlink) nor leaks.
-        return cls(shm, [tuple(entry) for entry in spec["manifest"]],
-                   owner=False)
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        """Zero-copy views over the block, keyed like a state dict.
-
-        Owner views are writable (the exporter may update in place);
-        attached views are read-only.
-        """
-        out: dict[str, np.ndarray] = {}
-        for key, dtype, shape, offset in self._manifest:
-            view = np.ndarray(tuple(shape), dtype=dtype,
-                              buffer=self._shm.buf, offset=offset)
-            if not self._owner:
-                view.flags.writeable = False
-            out[key] = view
-        return out
-
-    # -- lifetime ------------------------------------------------------------
-
-    @property
-    def nbytes(self) -> int:
-        return self._shm.size
-
-    def close(self) -> None:
-        """Detach this process's mapping (views become invalid)."""
-        try:
-            self._shm.close()
-        except BufferError:  # live views still reference the buffer
-            pass
-
-    def unlink(self) -> None:
-        """Free the block (owner only, idempotent)."""
-        self.close()
-        if self._owner and not self._unlinked:
-            self._unlinked = True
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
-
-    def __enter__(self) -> "SharedWeights":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.unlink() if self._owner else self.close()
-
-
-def bind_state(model: Module, state: dict[str, np.ndarray]) -> None:
-    """Point the model's parameters at ``state``'s arrays, zero-copy.
-
-    Unlike :meth:`Module.load_state_dict` (which copies into freshly
-    owned arrays), this makes ``param.data`` *be* the given array —
-    the scorer-worker path where ``state`` holds shared-memory views
-    and a copy per process would defeat the sharing.  Keys and shapes
-    must match exactly; read-only views are accepted (inference never
-    writes parameters).
-    """
-    own: dict = {}
-    model._collect_params(own, prefix="")
-    missing = set(own) - set(state)
-    if missing:
-        raise KeyError(f"state missing keys: {sorted(missing)}")
-    for key, param in own.items():
-        array = state[key]
-        if array.shape != param.data.shape:
-            raise ValueError(f"shape mismatch for {key}: "
-                             f"{array.shape} vs {param.data.shape}")
-        param.data = array
 
 
 def save_model(model: Module, path: str | Path,

@@ -21,9 +21,6 @@ Spec grammar (semicolon-separated rules)::
     crash@case:case_007.c                  # os._exit, workers only
     raise@train-batch:2.0                  # raise at epoch 2, batch 0
     corrupt@shard:*                        # garbage every cache shard
-    crash@score-batch:3                    # kill the scorer worker
-                                           # holding pool job 3
-    hang@score-batch:2:1.5                 # slow-worker: 1.5s stall
     drop@server-conn:#5                    # server hangs up after its
                                            # 5th parsed message
     drop@server-admit:#2-6                 # shed storm: admissions
@@ -36,11 +33,9 @@ inclusive range).  ``arg`` names a builtin exception for ``raise``
 (default 10, bounded so a broken timeout costs seconds, not a wedged
 CI job).
 
-Serving-layer sites: ``score-batch`` fires in every scorer pool
-worker once per batch, keyed by pool job id (``crash`` = worker-kill,
-``hang`` = slow-worker); ``server-conn`` and ``server-admit`` are
-boolean :func:`should_drop` sites the scan server consults to sever a
-client connection mid-stream (conn-drop) or refuse an admission as if
+Serving-layer sites: ``server-conn`` and ``server-admit`` are boolean
+:func:`should_drop` sites the scan server consults to sever a client
+connection mid-stream (conn-drop) or refuse an admission as if
 overloaded (shed-storm).
 
 Faults fire every time their rule matches: a resumed run must clear

@@ -1,64 +1,25 @@
-"""Self-healing serving layer: respawn, fallback, retrying clients.
+"""Self-healing serving layer: retrying clients, health, deadlines.
 
-The contract pinned here (deterministically, via ``REPRO_FAULTS``):
-
-* killing N−1 of N pool workers mid-scan still finishes the corpus,
-  byte-identical to the serial path — the watchdog resubmits the lost
-  batches and respawns replacements;
-* when the restart budget is exhausted the service demotes
-  ``process → thread`` (and ultimately ``inline``) and rescores
-  in-flight work, still byte-identical, reporting ``degraded`` health;
-* a :class:`ScanClient` with the default :class:`RetryPolicy` survives
-  dropped connections, admission shed-storms, and a full server
-  restart mid-``scan_batch`` without losing (or duplicating) a single
-  verdict.
+The contract pinned here (deterministically, via ``REPRO_FAULTS``): a
+:class:`ScanClient` with the default :class:`RetryPolicy` survives
+dropped connections, admission shed-storms, and a full server restart
+mid-``scan_batch`` without losing (or duplicating) a single verdict.
 """
 
 import threading
 import time
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro.core import SCALE_PRESETS, SEVulDet
-from repro.core.encode import encode_gadgets
-from repro.core.extract import extract_gadgets
 from repro.core.ipc import RetryPolicy, ScanClient
-from repro.core.score import predict_proba
-from repro.core.scorer_pool import RestartPolicy, ScorerPool
 from repro.core.serve import ScanService
 from repro.core.server import ScanServer
-from repro.core.telemetry import Telemetry
 from repro.datasets.sard import generate_sard_corpus
-from repro.models.sevuldet import SEVulDetNet
 from repro.testing import faults
 
-# -- raw pool fixtures (no detector needed) ------------------------------------
-
-
-@pytest.fixture(scope="module")
-def dataset():
-    corpus = generate_sard_corpus(20, seed=23)
-    return encode_gadgets(extract_gadgets(corpus), dim=8,
-                          w2v_epochs=0, seed=11)
-
-
-@pytest.fixture(scope="module")
-def net(dataset):
-    model = SEVulDetNet(len(dataset.vocab), dim=8, channels=8,
-                        pretrained=dataset.word2vec.vectors, seed=3)
-    dataset.bind_embedding_aliases(model)
-    model.eval()
-    return model
-
-
-@pytest.fixture(scope="module")
-def samples(dataset):
-    return [g.sample(dataset.vocab) for g in dataset.gadgets]
-
-
-# -- end-to-end fixtures -------------------------------------------------------
+# -- fixtures ------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +50,6 @@ def expected_records(detector, corpus):
 
 
 def make_server(tmp_path, detector, **kwargs):
-    kwargs.setdefault("scorer", "thread")
     kwargs.setdefault("workers", 2)
     kwargs.setdefault("batch_size", 16)
     return ScanServer(detector=detector,
@@ -99,82 +59,6 @@ def make_server(tmp_path, detector, **kwargs):
 def scan_requests(cases):
     return [{"name": case.name, "source": case.source}
             for case in cases]
-
-
-# -- pool self-healing ---------------------------------------------------------
-
-
-class TestPoolRespawn:
-    def test_killing_all_but_one_worker_finishes_the_corpus(
-            self, net, samples):
-        # Acceptance pin: two crash faults kill N−1 of N=3 workers
-        # mid-scan (each fault takes down the worker that picked up
-        # that job).  The watchdog resubmits the lost batches under
-        # fresh job ids — so the faults cannot re-fire — and the scan
-        # finishes byte-identical to the serial path.
-        expected = predict_proba(net, samples)
-        telemetry = Telemetry()
-        with faults.injected(
-                "crash@score-batch:1;crash@score-batch:2"):
-            with ScorerPool(
-                    net, workers=3,
-                    restart_policy=RestartPolicy(backoff=0.01),
-                    telemetry=telemetry) as pool:
-                scores = pool.score_samples(samples, batch_size=8)
-                health = pool.health()
-        assert np.array_equal(scores, expected)
-        assert telemetry.get("pool_worker_deaths") == 2
-        assert telemetry.get("pool_resubmitted_jobs") >= 2
-        # both deaths were either already replaced or inside budget —
-        # the pool never declared itself broken
-        assert health["status"] in ("ok", "degraded")
-
-    def test_sole_worker_crash_is_respawned(self, net, samples):
-        # With one worker there is no survivor to hide behind: the
-        # corpus can only finish if a replacement is actually spawned.
-        expected = predict_proba(net, samples)
-        with faults.injected("crash@score-batch:0"):
-            with ScorerPool(
-                    net, workers=1,
-                    restart_policy=RestartPolicy(backoff=0.01)
-            ) as pool:
-                scores = pool.score_samples(samples, batch_size=8)
-                health = pool.health()
-        assert np.array_equal(scores, expected)
-        assert health["respawns"] >= 1
-        assert health["status"] == "ok"
-
-
-# -- service fallback chain ----------------------------------------------------
-
-
-class TestServiceFallback:
-    def test_budget_exhaustion_demotes_byte_identically(
-            self, detector, corpus):
-        with ScanService(detector, workers=2,
-                         scorer="thread") as service:
-            expected = [v.as_record()
-                        for v in service.scan_cases(corpus)]
-        # every process batch crashes its worker; after one respawn
-        # the budget is spent and the service must demote to the
-        # thread backend and rescore everything in flight
-        with faults.injected("crash@score-batch:*"):
-            with ScanService(
-                    detector, workers=2, scorer="process",
-                    restart_policy=RestartPolicy(max_restarts=1,
-                                                 backoff=0.01)
-            ) as service:
-                got = [v.as_record()
-                       for v in service.scan_cases(corpus)]
-                health = service.health()
-                resilience = service.stats()["resilience"]
-        assert got == expected
-        assert health["status"] == "degraded"
-        assert health["scorer"] == "thread"
-        assert "restart budget" in (health["degraded_reason"] or "")
-        assert resilience["fallbacks"] >= 1
-        assert resilience["retries"] >= 1
-        assert resilience["worker_deaths"] >= 1
 
 
 # -- retrying client vs a chaotic server ---------------------------------------

@@ -17,8 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core import SCALE_PRESETS, Quarantine, SEVulDet
-from repro.core.serve import (CaseVerdict, ResultCache, ScanService,
-                              ShardedResultCache)
+from repro.core.serve import CaseVerdict, ResultCache, ScanService
 from repro.datasets.sard import generate_sard_corpus
 from repro.testing import faults
 
@@ -126,6 +125,37 @@ class TestResultCaching:
         assert cache.get("fp", "model-b") is None
         assert cache.get("fp", "model-a") is verdict
 
+    def test_roundtrip_and_stats(self):
+        cache = ResultCache(capacity=8)
+        verdicts = {}
+        for i in range(16):
+            fingerprint = f"{i:08x}{'0' * 56}"
+            verdict = CaseVerdict(name=f"c{i}",
+                                  fingerprint=fingerprint,
+                                  status="clean")
+            cache.put(fingerprint, "cfg", verdict)
+            verdicts[fingerprint] = verdict
+        assert len(cache) == 8  # LRU bound holds
+        for fingerprint, verdict in list(verdicts.items())[8:]:
+            assert cache.get(fingerprint, "cfg") is verdict
+        assert cache.get("f" * 64, "cfg") is None
+        assert cache.hits == 8
+        assert cache.misses == 1
+        assert cache.hit_rate() == 8 / 9
+
+    def test_services_share_one_cache(self, detector, corpus):
+        shared = ResultCache(capacity=256)
+        with ScanService(detector, workers=1, batch_size=8,
+                         result_cache=shared) as service:
+            cold = service.scan_cases(corpus[:6])
+        with ScanService(detector, workers=1, batch_size=8,
+                         result_cache=shared) as service:
+            warm = service.scan_cases(corpus[:6])
+        assert all(not v.cached for v in cold)
+        assert all(v.cached for v in warm)
+        assert [v.as_record() for v in warm] == \
+            [v.as_record() for v in cold]
+
 
 class TestFailureHandling:
     def test_quarantined_case_is_skipped(self, detector, corpus,
@@ -203,6 +233,16 @@ class TestServiceLifecycle:
         assert stats["scored_gadgets"] > 0
         assert stats["latency_seconds"]["count"] == 5
         assert 0 < stats["batch_fill"]["mean"] <= 1.0
+
+    def test_case_timeout_is_refused(self, detector):
+        # the SIGALRM budget cannot fire on the extraction drain
+        # thread, so the service refuses it instead of ignoring it
+        detector.case_timeout = 0.5
+        try:
+            with pytest.raises(ValueError, match="case_timeout"):
+                ScanService(detector, workers=1)
+        finally:
+            detector.case_timeout = None
 
     def test_missing_path_raises(self, detector, tmp_path):
         with ScanService(detector, workers=1,
@@ -336,63 +376,3 @@ class TestConcurrentCallers:
         assert records[0] == records[2] == records[3]
         assert records[0] == baseline[0].as_record()
         assert records[1] == baseline[1].as_record()
-
-
-class TestScorerBackends:
-    def test_process_backend_matches_thread_backend(self, detector,
-                                                    corpus):
-        with ScanService(detector, workers=2, batch_size=16,
-                         scorer="process") as service:
-            process_records = [v.as_record()
-                               for v in service.scan_cases(corpus)]
-            assert service.stats()["scored_gadgets"] > 0
-        with ScanService(detector, workers=2, batch_size=16,
-                         scorer="thread") as service:
-            thread_records = [v.as_record()
-                              for v in service.scan_cases(corpus)]
-        assert process_records == thread_records
-
-    def test_unknown_backend_rejected(self, detector):
-        with pytest.raises(ValueError, match="unknown scorer"):
-            ScanService(detector, scorer="gpu")
-
-
-class TestShardedResultCache:
-    def test_roundtrip_and_stats(self):
-        cache = ShardedResultCache(capacity=64, shards=4)
-        verdicts = {}
-        for i in range(16):
-            fingerprint = f"{i:08x}{'0' * 56}"
-            verdict = CaseVerdict(name=f"c{i}",
-                                  fingerprint=fingerprint,
-                                  status="clean")
-            cache.put(fingerprint, "cfg", verdict)
-            verdicts[fingerprint] = verdict
-        assert len(cache) == 16
-        for fingerprint, verdict in verdicts.items():
-            assert cache.get(fingerprint, "cfg") is verdict
-        assert cache.get("f" * 64, "cfg") is None
-        assert cache.hits == 16
-        assert cache.misses == 1
-        assert cache.hit_rate() == 16 / 17
-        # keys actually spread across shards
-        assert sum(1 for shard in cache.shards if len(shard)) > 1
-
-    def test_config_token_separates_entries(self):
-        cache = ShardedResultCache(capacity=8, shards=2)
-        verdict = CaseVerdict(name="c", fingerprint="ab" * 32,
-                              status="clean")
-        cache.put("ab" * 32, "model-a", verdict)
-        assert cache.get("ab" * 32, "model-b") is None
-        assert cache.get("ab" * 32, "model-a") is verdict
-
-    def test_service_accepts_sharded_cache(self, detector, corpus):
-        shared = ShardedResultCache(capacity=256, shards=4)
-        with ScanService(detector, workers=1, batch_size=8,
-                         result_cache=shared) as service:
-            cold = service.scan_cases(corpus[:6])
-            warm = service.scan_cases(corpus[:6])
-        assert all(not v.cached for v in cold)
-        assert all(v.cached for v in warm)
-        assert [v.as_record() for v in warm] == \
-            [v.as_record() for v in cold]

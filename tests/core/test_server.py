@@ -2,9 +2,7 @@
 
 Everything runs in-process: a real :class:`ScanServer` bound to a
 unix socket under ``tmp_path``, real :class:`ScanClient` connections,
-real threads — only the scorer backend defaults to threads so the
-suite stays fast (the process backend gets one dedicated end-to-end
-test; its batching equivalence is pinned in ``test_serve.py``).
+real threads.
 
 The load-bearing properties:
 
@@ -84,7 +82,6 @@ def model_paths(detector, tmp_path_factory):
 
 
 def make_server(tmp_path, *, detector=None, model=None, **kwargs):
-    kwargs.setdefault("scorer", "thread")
     kwargs.setdefault("workers", 2)
     kwargs.setdefault("batch_size", 16)
     return ScanServer(model=model, detector=detector,
@@ -199,21 +196,9 @@ class TestServerVerdicts:
             detector.config_token()
         assert stats["service"]["scored_gadgets"] > 0
 
-    def test_process_backend_end_to_end(self, detector, corpus,
-                                        expected_records, tmp_path):
-        """The tentpole path: spawned scorer processes over
-        shared-memory weights, behind the socket."""
-        with make_server(tmp_path, detector=detector,
-                         scorer="process") as server:
-            with ScanClient(server.address) as client:
-                responses = client.scan_batch(
-                    scan_requests(corpus[:8]))
-        assert [r["verdict"] for r in responses] == \
-            expected_records[:8]
-
     def test_tcp_transport(self, detector, corpus, expected_records):
         server = ScanServer(detector=detector, host="127.0.0.1",
-                            port=0, scorer="thread", workers=1,
+                            port=0, workers=1,
                             batch_size=16)
         with server:
             host, port = server.address.rsplit(":", 1)

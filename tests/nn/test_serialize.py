@@ -1,124 +1,10 @@
-"""SharedWeights lifecycle and reduced-precision archive round-trips.
-
-The shared-memory block is the serving substrate for every
-multi-process scorer (:mod:`repro.core.scorer_pool`): its lifecycle
-must survive ill-behaved workers — in particular a worker that
-attaches and then dies without ever detaching — without leaking the
-block or breaking the owner's ``unlink``.
-"""
-
-import json
-import subprocess
-import sys
+"""Reduced-precision archive round-trips."""
 
 import numpy as np
-import pytest
 
 from repro.models.sevuldet import SEVulDetNet
 from repro.nn.quantize import apply_inference_dtype
-from repro.nn.serialize import (SharedWeights, bind_state, load_model,
-                                save_model)
-
-
-def arrays(seed=0):
-    rng = np.random.default_rng(seed)
-    return {
-        "fc.weight": rng.normal(size=(5, 3)).astype(np.float32),
-        "fc.bias": rng.normal(size=(3,)).astype(np.float32),
-        "emb.weight": rng.normal(size=(11, 4)).astype(np.float16),
-    }
-
-
-class TestSharedWeightsLifecycle:
-    def test_export_attach_round_trip(self):
-        source = arrays()
-        shared = SharedWeights.export(source)
-        try:
-            attached = SharedWeights.attach(shared.spec())
-            try:
-                views = attached.arrays()
-                assert sorted(views) == sorted(source)
-                for key, view in views.items():
-                    assert view.dtype == source[key].dtype
-                    assert np.array_equal(view, source[key])
-                    assert not view.flags.writeable
-            finally:
-                attached.close()
-        finally:
-            shared.unlink()
-
-    def test_owner_views_stay_writable(self):
-        shared = SharedWeights.export(arrays())
-        try:
-            views = shared.arrays()
-            assert all(v.flags.writeable for v in views.values())
-        finally:
-            shared.unlink()
-
-    def test_unlink_is_idempotent_and_attach_close_is_safe(self):
-        shared = SharedWeights.export(arrays())
-        attached = SharedWeights.attach(shared.spec())
-        attached.close()
-        attached.close()  # double detach must not raise
-        shared.unlink()
-        shared.unlink()  # double unlink must not raise
-        with pytest.raises(FileNotFoundError):
-            SharedWeights.attach(shared.spec())
-
-    def test_worker_death_mid_attach_leaves_owner_functional(self):
-        """A worker that attaches and dies without detaching must not
-        corrupt the block or break the owner's unlink."""
-        shared = SharedWeights.export(arrays())
-        try:
-            spec = shared.spec()
-            # the child attaches, reads one array, then dies hard —
-            # no close(), no graceful interpreter shutdown
-            script = (
-                "import json, os, sys\n"
-                "import numpy as np\n"
-                "from repro.nn.serialize import SharedWeights\n"
-                "spec = json.loads(sys.argv[1])\n"
-                "shared = SharedWeights.attach(spec)\n"
-                "views = shared.arrays()\n"
-                "assert views['fc.bias'].shape == (3,)\n"
-                "os._exit(7)\n"
-            )
-            payload = json.dumps({
-                "name": spec["name"],
-                "manifest": [
-                    [key, dtype, list(shape), offset]
-                    for key, dtype, shape, offset in spec["manifest"]
-                ],
-            })
-            proc = subprocess.run(
-                [sys.executable, "-c", script, payload],
-                capture_output=True, text=True, timeout=60)
-            assert proc.returncode == 7, proc.stderr
-            # the owner's mapping is intact and unlink still works
-            views = shared.arrays()
-            assert np.array_equal(views["fc.bias"],
-                                  arrays()["fc.bias"])
-        finally:
-            shared.unlink()
-
-    def test_bind_state_points_at_views_zero_copy(self):
-        net = SEVulDetNet(vocab_size=12, dim=6, channels=4, seed=2)
-        shared = SharedWeights.export(net.state_dict())
-        try:
-            attached = SharedWeights.attach(shared.spec())
-            try:
-                clone = SEVulDetNet(vocab_size=12, dim=6, channels=4,
-                                    seed=9)
-                views = attached.arrays()
-                bind_state(clone, views)
-                own = {}
-                clone._collect_params(own, prefix="")
-                for key, param in own.items():
-                    assert param.data is views[key]
-            finally:
-                attached.close()
-        finally:
-            shared.unlink()
+from repro.nn.serialize import load_model, save_model
 
 
 class TestReducedPrecisionArchives:
