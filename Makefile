@@ -3,7 +3,7 @@
 PYTHON ?= python3
 SCALE ?= small
 
-.PHONY: install test bench experiments examples clean
+.PHONY: install test bench experiments examples loc clean
 
 install:
 	pip install -e .[dev]
@@ -25,6 +25,10 @@ experiments:
 
 examples:
 	for script in examples/*.py; do $(PYTHON) $$script || exit 1; done
+
+# Python line count of the library (the number simplicity changes report)
+loc:
+	@find src/repro -name '*.py' | xargs wc -l | tail -1
 
 clean:
 	rm -rf .pytest_cache .hypothesis .benchmarks

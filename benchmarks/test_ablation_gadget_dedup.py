@@ -12,7 +12,7 @@ Two data-path choices DESIGN.md calls out:
 
 import numpy as np
 
-from repro.core.pipeline import extract_gadgets
+from repro.core.extract import extract_gadgets
 from repro.slicing.labeling import MislabelAuditor
 
 from conftest import run_once

@@ -10,8 +10,10 @@ needs (guard placement is a positional property).
 
 import numpy as np
 
-from repro.core.pipeline import (encode_gadgets, evaluate_classifier,
-                                 extract_gadgets, train_classifier)
+from repro.core.encode import encode_gadgets
+from repro.core.extract import extract_gadgets
+from repro.core.score import evaluate_classifier
+from repro.core.train import train_classifier
 from repro.models.sevuldet import SEVulDetNet
 
 from conftest import run_once

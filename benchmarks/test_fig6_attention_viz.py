@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.core.attention_hook import attention_report, weights_by_line
 from repro.core.detector import SEVulDet
-from repro.core.pipeline import extract_gadgets
+from repro.core.extract import extract_gadgets
 from repro.datasets.xen import cve_2016_9776
 
 from conftest import run_once

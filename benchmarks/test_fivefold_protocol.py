@@ -8,7 +8,7 @@ that fold variance is moderate and the mean matches the train/test
 estimates within a few points.
 """
 
-from repro.core.pipeline import extract_gadgets
+from repro.core.extract import extract_gadgets
 from repro.eval.protocol import cross_validate
 from repro.models.sevuldet import SEVulDetNet
 

@@ -5,7 +5,7 @@ vulnerable gadgets (8-10% vulnerable overall); library/API calls and
 pointer usage dominate the totals.
 """
 
-from repro.core.pipeline import extract_gadgets
+from repro.core.extract import extract_gadgets
 
 from conftest import run_once
 

@@ -10,7 +10,7 @@ SEVulDet detects all three — at least one more than any other system.
 
 from repro.baselines.afl import AFLFuzzer
 from repro.core.detector import SEVulDet
-from repro.core.pipeline import extract_gadgets
+from repro.core.extract import extract_gadgets
 from repro.datasets.xen import CVE_CASES
 
 from conftest import run_once

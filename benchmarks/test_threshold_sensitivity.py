@@ -10,8 +10,10 @@ serviceable — the setting a triage tool wants.
 
 import numpy as np
 
-from repro.core.pipeline import (encode_gadgets, extract_gadgets,
-                                 predict_proba, train_classifier)
+from repro.core.encode import encode_gadgets
+from repro.core.extract import extract_gadgets
+from repro.core.score import predict_proba
+from repro.core.train import train_classifier
 from repro.eval.thresholds import (best_f1_threshold, roc_auc,
                                    sweep_thresholds)
 from repro.models.sevuldet import SEVulDetNet

@@ -9,7 +9,7 @@ forward passes at several sequence lengths.
 import numpy as np
 import pytest
 
-from repro.core.pipeline import extract_gadgets
+from repro.core.extract import extract_gadgets
 from repro.datasets.cwe_templates import TEMPLATES, generate_case
 from repro.lang.callgraph import analyze
 from repro.models.blstm import BLSTMNet

@@ -10,7 +10,7 @@ strip over the gadget — the paper's interpretability study.
 from repro import SEVulDet, generate_sard_corpus
 from repro.core.attention_hook import attention_report, weights_by_line
 from repro.core.config import SCALE_PRESETS
-from repro.core.pipeline import extract_gadgets
+from repro.core.extract import extract_gadgets
 from repro.datasets.xen import cve_2016_9776
 
 

@@ -13,7 +13,7 @@ detector flags all three.
 from repro import SEVulDet, generate_sard_corpus
 from repro.baselines.afl import AFLFuzzer
 from repro.core.config import SCALE_PRESETS
-from repro.core.pipeline import extract_gadgets
+from repro.core.extract import extract_gadgets
 from repro.datasets.xen import CVE_CASES, generate_xen_corpus
 
 

@@ -11,8 +11,10 @@ same data and compares their scores on held-out long gadgets.
 import numpy as np
 
 from repro.core.config import SCALE_PRESETS
-from repro.core.pipeline import (encode_gadgets, extract_gadgets,
-                                 predict_proba, train_classifier)
+from repro.core.encode import encode_gadgets
+from repro.core.extract import extract_gadgets
+from repro.core.score import predict_proba
+from repro.core.train import train_classifier
 from repro.datasets.cwe_templates import TEMPLATES, generate_case
 from repro.datasets.sard import generate_sard_corpus
 from repro.models.blstm import BLSTMNet

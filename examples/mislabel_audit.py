@@ -12,7 +12,7 @@ paper's human reviewer.
 
 import numpy as np
 
-from repro.core.pipeline import extract_gadgets
+from repro.core.extract import extract_gadgets
 from repro.datasets.sard import generate_sard_corpus
 from repro.slicing.labeling import MislabelAuditor
 

@@ -41,7 +41,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from repro.core.config import Scale, current_scale  # noqa: E402
-from repro.core.engine import RunContext  # noqa: E402
+from repro.core.context import RunContext  # noqa: E402
 from repro.datasets.adapters import (JulietAdapter,  # noqa: E402
                                      SardAdapter, default_adapters)
 from repro.eval.comparison import (FRAMEWORKS,  # noqa: E402

@@ -38,7 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from repro.core.detector import SEVulDet  # noqa: E402
-from repro.core.pipeline import extract_gadgets  # noqa: E402
+from repro.core.extract import extract_gadgets  # noqa: E402
 from repro.core.telemetry import Telemetry  # noqa: E402
 from repro.datasets.sard import generate_sard_corpus  # noqa: E402
 from repro.embedding.vocab import Vocabulary  # noqa: E402

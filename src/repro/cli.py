@@ -21,12 +21,13 @@ from pathlib import Path
 
 from .baselines.afl import AFLFuzzer
 from .core.config import SCALE_PRESETS, current_scale
+from .core.context import RunContext
 from .core.detector import SEVulDet
-from .core.engine import Engine, ExtractStage, RunContext
 from .core.extract import extract_gadgets
 from .datasets.manifest import TestCase
 from .datasets.nvd import generate_nvd_corpus
 from .datasets.sard import generate_sard_corpus
+from .nn.dtype import INFERENCE_DTYPES
 
 __all__ = ["main", "build_parser"]
 
@@ -139,14 +140,12 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--batch-size", type=int, default=64,
                       help="micro-batch size for gadget scoring")
     scan.add_argument("--dtype",
-                      choices=("float32", "float16", "int8"),
-                      default="float32",
-                      help="inference weight representation: float16 "
-                           "halves the weight payload, int8 quantizes "
-                           "weight matrices per tensor; the accuracy "
-                           "cost is measured on a held-out calibration "
-                           "corpus and printed (default: float32, the "
-                           "training precision)")
+                      choices=INFERENCE_DTYPES, default="float32",
+                      help="inference weight representation: int8 "
+                           "quantizes weight matrices per tensor; the "
+                           "accuracy cost is measured on a held-out "
+                           "calibration corpus and printed (default: "
+                           "float32, the training precision)")
     scan.add_argument("--calibration-cases", type=int, default=24,
                       help="held-out synthetic programs used to "
                            "measure the quantization guardband when "
@@ -386,9 +385,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         corpus += generate_nvd_corpus(args.nvd_cases,
                                       seed=args.seed + 1)
     ctx = _run_context(args, workers=args.workers)
-    engine = Engine(ExtractStage(args.kind), ctx=ctx)
-    gadgets = [gadget for chunk in engine.run(corpus)
-               for gadget in chunk]
+    gadgets = extract_gadgets(corpus, args.kind, **ctx.extract_kwargs())
     count = save_gadgets(gadgets, args.out)
     vulnerable = sum(g.label for g in gadgets)
     print(f"extracted {count} gadgets ({vulnerable} vulnerable) from "

@@ -19,16 +19,17 @@ import numpy as np
 from ..datasets.manifest import TestCase
 from ..embedding.vocab import Vocabulary
 from ..models.sevuldet import DECISION_THRESHOLD, SEVulDetNet
-from ..nn.dtype import coerce_inference_dtype
+from ..nn.dtype import INFERENCE_DTYPES, coerce_inference_dtype
 from ..nn.quantize import QuantizationReport, apply_inference_dtype
 from ..nn.serialize import load_model, save_model
 from ..slicing.normalize import NORMALIZE_VERSION
 from .config import Scale, current_scale
 from .cwe_typing import CWETyper
-from .encode import EncodedDataset
+from .context import RunContext
+from .encode import EncodedDataset, encode_gadgets
 from .extract import PIPELINE_VERSION, LabeledGadget, extract_gadgets
 from .score import predict_proba
-from .train import TrainReport
+from .train import TrainReport, train_classifier
 from .resilience import CaseFailure
 from .telemetry import Telemetry
 
@@ -98,19 +99,16 @@ class SEVulDet:
     quarantine: object | None = None
     telemetry: Telemetry = field(default_factory=Telemetry)
     extraction_failures: list[CaseFailure] = field(default_factory=list)
-    #: Current weight representation: 'float32' (training precision),
-    #: 'float16', or 'int8' (see :meth:`quantize`).
+    #: Current weight representation: 'float32' (training precision)
+    #: or 'int8' (see :meth:`quantize`).
     inference_dtype: str = "float32"
     #: Measured guardband of the last :meth:`quantize` call.
     quantization_report: QuantizationReport | None = None
 
     def run_context(self, *, checkpoint_dir: str | Path | None = None,
-                    resume: bool = False) -> "RunContext":
-        """The detector's settings bundled as an engine
-        :class:`~repro.core.engine.RunContext` (fresh failure list;
-        shared cache/quarantine/telemetry)."""
-        from .engine import RunContext
-
+                    resume: bool = False) -> RunContext:
+        """The detector's settings bundled as a :class:`RunContext`
+        (fresh failure list; shared cache/quarantine/telemetry)."""
         return RunContext.create(
             cache=self.cache, quarantine=self.quarantine,
             telemetry=self.telemetry, checkpoint_dir=checkpoint_dir,
@@ -131,41 +129,43 @@ class SEVulDet:
             resume: bool = False, ctx=None) -> TrainReport:
         """Train on labelled corpus programs.
 
-        Runs extract -> encode -> train as a streaming
-        :class:`~repro.core.engine.Engine`: extraction of later case
-        chunks overlaps nothing here (encode is a barrier) but shares
-        the persistent worker pool across chunks, and all stages draw
-        their cache/quarantine/telemetry from one
-        :class:`~repro.core.engine.RunContext`.
+        Paper Fig 2's training phase as three direct calls:
+        :func:`~repro.core.extract.extract_gadgets` (Steps I-III),
+        :func:`~repro.core.encode.encode_gadgets` (Step IV) and
+        :func:`~repro.core.train.train_classifier` (Step V), each
+        drawing its cache/quarantine/telemetry and fault budget from
+        one :class:`RunContext` (``ctx``, or :meth:`run_context`).
 
         With a ``checkpoint_dir``, training writes atomic per-epoch
         checkpoints and ``resume=True`` continues an interrupted fit
         from the last completed epoch (the extraction and embedding
-        stages are deterministic — and typically cache-warm — so only
+        steps are deterministic — and typically cache-warm — so only
         the remaining classifier epochs are re-run), ending with the
         same weights as an uninterrupted fit.
         """
-        from .engine import Engine, EncodeStage, ExtractStage, TrainStage
-
         if ctx is None:
             ctx = self.run_context(checkpoint_dir=checkpoint_dir,
                                    resume=resume)
         self.extraction_failures = ctx.failures
-        engine = Engine(
-            ExtractStage(self.gadget_kind, self.categories),
-            EncodeStage(dim=self.scale.dim,
-                        w2v_epochs=self.scale.w2v_epochs,
-                        seed=self.seed),
-            TrainStage(
-                self._build_net,
-                epochs=epochs if epochs is not None else self.scale.epochs,
-                batch_size=self.scale.batch_size,
-                lr=self.scale.learning_rate, seed=self.seed),
-            ctx=ctx)
-        result = engine.run(cases)
-        self.dataset = result.dataset
-        self.model = result.model
-        return result.report
+        gadgets = extract_gadgets(cases, self.gadget_kind,
+                                  self.categories, **ctx.extract_kwargs())
+        if not gadgets:
+            raise ValueError("no gadgets could be extracted from the "
+                             "training corpus")
+        dataset = encode_gadgets(gadgets, dim=self.scale.dim,
+                                 w2v_epochs=self.scale.w2v_epochs,
+                                 seed=self.seed, telemetry=ctx.telemetry)
+        model = self._build_net(dataset)
+        report = train_classifier(
+            model, dataset.samples,
+            epochs=epochs if epochs is not None else self.scale.epochs,
+            batch_size=self.scale.batch_size,
+            lr=self.scale.learning_rate, seed=self.seed,
+            telemetry=ctx.telemetry, checkpoint_dir=ctx.checkpoint_dir,
+            resume=ctx.resume)
+        self.dataset = dataset
+        self.model = model
+        return report
 
     def fit_typer(self, epochs: int = 12) -> list[float]:
         """Train the CWE-type head (Fig 2(b) "vulnerability type") on
@@ -249,9 +249,8 @@ class SEVulDet:
         """Re-represent the trained weights at a reduced precision.
 
         ``dtype`` is one of the inference dtypes (``float32`` is a
-        no-op cast back; ``float16`` halves the weight payload;
-        ``int8`` quantizes weight matrices per tensor — see
-        :mod:`repro.nn.quantize`).  Quantization is lossy, so it only
+        no-op cast back; ``int8`` quantizes weight matrices per tensor
+        — see :mod:`repro.nn.quantize`).  Quantization is lossy, so it only
         runs from float32 weights: quantizing an already-quantized
         detector raises instead of silently compounding error.
 
@@ -356,7 +355,8 @@ class SEVulDet:
         version, or whose vocabulary disagrees with the stored
         embedding, are rejected with a ``ValueError`` naming the
         mismatch instead of surfacing as a downstream shape error or
-        silently mis-tokenized scans.
+        silently mis-tokenized scans; so are archives tagged with an
+        inference dtype this code no longer supports (``float16``).
         """
         import json
 
@@ -368,6 +368,13 @@ class SEVulDet:
             embedding_shape = (
                 archive["embedding.weight"].shape
                 if "embedding.weight" in archive.files else None)
+        inference_dtype = metadata.get("inference_dtype", "float32")
+        if inference_dtype not in INFERENCE_DTYPES:
+            raise ValueError(
+                f"model archive {path} holds {inference_dtype} weights, "
+                f"which this code does not support (supported: "
+                f"{', '.join(INFERENCE_DTYPES)}); load the float32 "
+                f"archive it was quantized from instead")
         for field_name, current in (
                 ("pipeline_version", PIPELINE_VERSION),
                 ("normalize_version", NORMALIZE_VERSION)):
@@ -398,13 +405,8 @@ class SEVulDet:
         model = SEVulDetNet(len(vocab), dim=metadata["dim"],
                             channels=metadata["channels"])
         load_model(model, path)
-        # load_state_dict lands weights in the session default dtype;
-        # a float16 archive is restored exactly by re-casting (f16 ->
-        # f32 -> f16 is lossless).  int8 archives already hold the
-        # dequantized float32 grid values, so only the tag is restored.
-        inference_dtype = metadata.get("inference_dtype", "float32")
-        if inference_dtype == "float16":
-            apply_inference_dtype(model, "float16")
+        # int8 archives already hold the dequantized float32 grid
+        # values, so only the tag is restored
         self.inference_dtype = inference_dtype
         self.quantization_report = None
         rare_ids = metadata.get("rare_token_ids", [])

@@ -5,8 +5,8 @@ normalized gadgets: slice -> path-sensitive assembly (Algorithm 1) ->
 label -> normalize.  The per-case work is pure, so it runs identically
 inline, in a process pool, or from the content-addressed cache; the
 :class:`CorpusExtractor` core is shared by the one-shot
-:func:`extract_gadgets` wrapper and the streaming
-:class:`~repro.core.engine.ExtractStage`.
+:func:`extract_gadgets` wrapper, evaluation's per-case prediction,
+and the scan service's chunked extraction thread.
 """
 
 from __future__ import annotations
@@ -248,8 +248,8 @@ def _pool_extract(cases: Sequence[TestCase], pending: list[int],
     lost to pool breakage (a worker died mid-chunk); the caller decides
     whether to retry those inline.  Unlike ``pool.map``, per-chunk
     futures keep every already-completed chunk when the pool breaks.
-    A caller-owned ``pool`` is reused across calls (the streaming
-    engine amortizes worker startup over many chunks); when None, a
+    A caller-owned ``pool`` is reused across calls (the scan service
+    amortizes worker startup over many chunks); when None, a
     temporary pool lives for just this call.
     """
     outcomes: dict[int, _CaseOutcome] = {}
@@ -531,8 +531,7 @@ class GadgetDeduplicator:
 
     Stateful across calls so a streaming consumer filtering chunk
     after chunk drops exactly the duplicates a one-shot pass over the
-    concatenated corpus would — the property the engine's equivalence
-    tests pin.
+    concatenated corpus would (pinned by ``tests/core/test_engine.py``).
     """
 
     def __init__(self, enabled: bool = True):

@@ -50,8 +50,7 @@ from ..datasets.manifest import TestCase
 from ..nn import no_grad, pad_or_truncate
 from ..nn.dtype import coerce_inference_dtype
 from .detector import Finding, SEVulDet
-from .engine import Engine, ExtractStage, RunContext, Stage
-from .extract import CaseResult
+from .extract import CaseResult, CorpusExtractor, _make_config
 from .score import SCORE_MIN_LENGTH
 from .telemetry import Telemetry
 
@@ -375,34 +374,6 @@ class _CaseWork:
     ready: threading.Event = field(default_factory=threading.Event)
 
 
-class _SubmitStage(Stage):
-    """Engine stage feeding extraction results to the scorer.
-
-    Consumes the :class:`~repro.core.extract.CaseResult` chunks an
-    upstream ``ExtractStage(per_case=True)`` emits (in submission
-    order, matching ``entries``) and hands each case's gadgets to the
-    service's scorer — the downstream half of the scan pipeline's
-    extract/score overlap.
-    """
-
-    name = "submit"
-    streaming = True
-
-    def __init__(self, service: "ScanService",
-                 entries: Sequence[_CaseWork]):
-        self.service = service
-        self._entries = iter(entries)
-
-    def process(self, chunk: Sequence[CaseResult],
-                ctx: RunContext) -> list[_CaseWork]:
-        out = []
-        for result in chunk:
-            entry = self.service._admit(next(self._entries), result)
-            entry.ready.set()
-            out.append(entry)
-        return out
-
-
 class ScanService:
     """Long-lived batched scanning facade over a trained detector.
 
@@ -491,21 +462,21 @@ class ScanService:
         """Scan a corpus, yielding verdicts *in input order* as they
         resolve.
 
-        Pass 1 resolves what it can from the result cache, then runs
-        the remaining cases through a streaming
-        :class:`~repro.core.engine.Engine` — an extraction stage
-        feeding a scorer-submission stage across a prefetch boundary,
-        so extraction of later case chunks overlaps scoring of earlier
-        ones (and both share the detector's gadget cache, quarantine,
-        and the service's function-level ``fn_cache`` via the
-        :class:`~repro.core.engine.RunContext`).  The engine drains on
-        a background thread while this generator releases each case
-        as soon as *it and everything before it* is admitted:
-        buffer-and-release by case index, so the stream order is the
-        input order no matter how extraction chunks or scorer batches
-        interleave — the stability diff/watch verdict-delta
-        computation depends on (workers only change timing, never
-        order; pinned by the ``--workers 4`` determinism test).
+        Pass 1 resolves what it can from the result cache; the
+        remaining cases are extracted on one ``scan-extract-drain``
+        thread, 16 cases at a time, through a
+        :class:`~repro.core.extract.CorpusExtractor` that shares the
+        detector's gadget cache and quarantine and the service's
+        function-level ``fn_cache``.  Each extracted case is handed to
+        the scorer at once, so extraction of later chunks overlaps
+        scoring of earlier ones on the scorer's own threads.  This
+        generator releases each case as soon as *it and everything
+        before it* is admitted: buffer-and-release by case index, so
+        the stream order is the input order no matter how extraction
+        chunks or scorer batches interleave — the stability diff/watch
+        verdict-delta computation depends on (workers only change
+        timing, never order; pinned by the ``--workers 4`` determinism
+        test).
 
         Concurrent calls are *not* serialized: the submission lock
         covers only the cheap cache-lookup/dedup bookkeeping, so one
@@ -542,23 +513,25 @@ class ScanService:
         drain_error: list[BaseException] = []
         if misses:
             detector = self.detector
-            ctx = RunContext.create(
-                cache=detector.cache,
-                fn_cache=self.fn_cache,
-                quarantine=detector.quarantine,
-                telemetry=self.telemetry,
-                workers=detector.workers)
-            engine = Engine(
-                ExtractStage(detector.gadget_kind,
-                             detector.categories,
-                             deduplicate=False, per_case=True),
-                _SubmitStage(self, misses),
-                ctx=ctx, chunk_size=16)
+            config = _make_config(detector.gadget_kind,
+                                  detector.categories, use_control=True,
+                                  keep_gadget=False, case_timeout=None)
 
             def _drain() -> None:
                 try:
-                    for _ in engine.stream(e.case for e in misses):
-                        pass
+                    with CorpusExtractor(
+                            config, workers=detector.workers,
+                            cache=detector.cache,
+                            quarantine=detector.quarantine,
+                            telemetry=self.telemetry, keep_pool=True,
+                            fn_cache=self.fn_cache) as extractor:
+                        for start in range(0, len(misses), 16):
+                            chunk = misses[start:start + 16]
+                            results = extractor.run(
+                                [entry.case for entry in chunk])
+                            for entry, result in zip(chunk, results):
+                                self._admit(entry, result)
+                                entry.ready.set()
                 except BaseException as error:
                     drain_error.append(error)
                 finally:
@@ -615,8 +588,7 @@ class ScanService:
         self.telemetry.count("scan_result_misses")
         return entry
 
-    def _admit(self, entry: _CaseWork,
-               result: CaseResult) -> _CaseWork:
+    def _admit(self, entry: _CaseWork, result: CaseResult) -> None:
         """Pass-1 tail: turn one extraction result into a skipped
         verdict or a scorer submission."""
         if result.failure is not None:
@@ -625,12 +597,11 @@ class ScanService:
                     name=entry.case.name,
                     fingerprint=entry.fingerprint,
                     status="skipped", reason=result.failure.reason))
-            return entry
+            return
         entry.gadgets = result.gadgets
         entry.pending = self._scorer.submit(
             [g.sample(self._vocab).token_ids
              for g in result.gadgets])
-        return entry
 
     def _resolve_case(self, entry: _CaseWork) -> CaseVerdict:
         if entry.verdict is not None:

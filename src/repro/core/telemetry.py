@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -32,9 +33,9 @@ _KNOWN_RATES = (
     ("scan_cases", "scan", "cases/s"),
 )
 
-#: Per-distribution sample cap: reservoir-free truncation keeps memory
-#: bounded; scan-scale runs care about the percentile shape, not every
-#: observation past the first few thousand.
+#: Per-distribution sample cap: each distribution keeps its most recent
+#: samples, so memory stays bounded and a long-running daemon's
+#: percentiles follow current traffic instead of its first requests.
 MAX_OBSERVATIONS = 4096
 
 
@@ -48,7 +49,7 @@ class Telemetry:
     """Named counters, per-stage wall times, and a bounded event log.
 
     One instance may be shared across threads (the scan service's
-    scorer workers, the engine's prefetch pump, server dispatchers):
+    scorer workers, its extraction thread, server dispatchers):
     every read-modify-write runs under an internal re-entrant lock, so
     concurrent increments are never lost.  The lock is an
     implementation detail — it stays out of :meth:`as_dict` payloads
@@ -59,7 +60,7 @@ class Telemetry:
     stage_seconds: dict[str, float] = field(default_factory=dict)
     stage_calls: dict[str, int] = field(default_factory=dict)
     events: list[dict] = field(default_factory=list)
-    observations: dict[str, list[float]] = field(default_factory=dict)
+    observations: dict[str, deque[float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         # RLock: event() counts events_dropped while already holding
@@ -107,23 +108,25 @@ class Telemetry:
 
     def observe(self, name: str, value: float) -> None:
         """Record one sample of distribution ``name`` (latency, queue
-        depth, batch fill, ...).  Capped at :data:`MAX_OBSERVATIONS`
-        samples per distribution; overflow increments
-        ``observations_dropped``."""
+        depth, batch fill, ...).  Each distribution keeps its most
+        recent :data:`MAX_OBSERVATIONS` samples; every evicted sample
+        increments ``observations_dropped``."""
         with self._lock:
-            samples = self.observations.setdefault(name, [])
-            if len(samples) < MAX_OBSERVATIONS:
-                samples.append(float(value))
-            else:
+            samples = self.observations.get(name)
+            if samples is None:
+                samples = self.observations[name] = deque(
+                    maxlen=MAX_OBSERVATIONS)
+            if len(samples) == MAX_OBSERVATIONS:
                 self.count("observations_dropped")
+            samples.append(float(value))
 
     def percentile(self, name: str, q: float) -> float:
         """The ``q``-th percentile (0-100) of distribution ``name``
         (0.0 when nothing was observed)."""
-        samples = self.observations.get(name)
-        if not samples:
+        with self._lock:
+            ordered = sorted(self.observations.get(name, ()))
+        if not ordered:
             return 0.0
-        ordered = sorted(samples)
         if len(ordered) == 1:
             return ordered[0]
         rank = (q / 100.0) * (len(ordered) - 1)
@@ -134,7 +137,8 @@ class Telemetry:
 
     def observation_stats(self, name: str) -> dict[str, float]:
         """count / mean / p50 / p95 / max of one distribution."""
-        samples = self.observations.get(name)
+        with self._lock:
+            samples = list(self.observations.get(name, ()))
         if not samples:
             return {"count": 0}
         return {

@@ -36,7 +36,7 @@ _MATRIX_NAMES = {"MatrixCell", "MatrixResult", "MatrixRunner",
 
 
 def __getattr__(name: str):
-    # comparison imports core.pipeline, which imports eval.metrics;
+    # comparison imports core.score, which imports eval.metrics;
     # loading it (and everything built on it) lazily keeps the package
     # import acyclic.
     if name in _COMPARISON_NAMES:

@@ -10,13 +10,12 @@ This module closes that gap: every system is a :class:`Detector`
 
 Three adapter families cover the existing systems:
 
-* :class:`FrameworkDetector` — any :data:`FRAMEWORKS` entry, routed
-  through the stage engine (:class:`~repro.core.engine.Engine`) with a
-  shared :class:`~repro.core.engine.RunContext`, so the gadget caches,
+* :class:`FrameworkDetector` — any :data:`FRAMEWORKS` entry, trained
+  and scored by direct extract/encode/train calls against a shared
+  :class:`~repro.core.context.RunContext`, so the gadget caches,
   quarantine, and telemetry are reused across matrix cells.  The
   training and scoring path is pinned to produce metrics *identical*
-  to ``train_and_evaluate`` on the same seeds (engine chunking is
-  byte-identical to the serial one-shot path, see tests).
+  to ``train_and_evaluate`` on the same seeds.
 * :class:`StaticToolDetector` — flawfinder/RATS/checkmarx/vuddy.
   Verdicts route through the context's telemetry (per-tool wall time
   and cases/sec), which the old ``evaluate_static_tool`` never did.
@@ -36,10 +35,12 @@ from typing import Protocol, Sequence, runtime_checkable
 
 from ..baselines import AFLFuzzer
 from ..core.config import Scale, current_scale
-from ..core.engine import (EncodeStage, Engine, ExtractStage, RunContext,
-                           TrainStage)
-from ..core.extract import GadgetDeduplicator, LabeledGadget
+from ..core.context import RunContext
+from ..core.encode import encode_gadgets
+from ..core.extract import (CorpusExtractor, GadgetDeduplicator,
+                            LabeledGadget, _make_config, extract_gadgets)
 from ..core.score import predict_proba
+from ..core.train import train_classifier
 from ..datasets.adapters import derive_seed
 from ..datasets.manifest import TestCase
 from ..models.bgru import BGRUNet
@@ -123,16 +124,16 @@ class Detector(Protocol):
 class FrameworkDetector:
     """A :data:`FRAMEWORKS` entry behind the :class:`Detector` protocol.
 
-    Fitting composes the stage engine exactly the way
-    ``train_and_evaluate`` composes the serial calls — same extraction
-    configuration, same ``encode_gadgets`` parameters, same builder and
-    alias binding, same batch-size policy — so the resulting weights
-    and test metrics are equal on equal seeds.  Prediction extracts the
-    test corpus per case (so verdicts can be attributed to programs),
-    re-applies corpus-order deduplication to recover the one-shot
-    gadget list, and scores that list once; each case's score is the
-    max over its gadgets' scores, via a tokens-keyed map so duplicate
-    gadgets share their survivor's score by construction.
+    Fitting makes the same extract/encode/train calls as
+    ``train_and_evaluate`` — same extraction configuration, same
+    ``encode_gadgets`` parameters, same builder and alias binding,
+    same batch-size policy — so the resulting weights and test metrics
+    are equal on equal seeds.  Prediction extracts the test corpus per
+    case (so verdicts can be attributed to programs), re-applies
+    corpus-order deduplication to recover the one-shot gadget list,
+    and scores that list once; each case's score is the max over its
+    gadgets' scores, via a tokens-keyed map so duplicate gadgets share
+    their survivor's score by construction.
     """
 
     def __init__(self, spec: FrameworkSpec | str,
@@ -157,45 +158,44 @@ class FrameworkDetector:
         self._model = None
         self._vocab = None
 
-    def _extract_stage(self, *, per_case: bool = False) -> ExtractStage:
-        return ExtractStage(self.kind, self.categories,
-                            use_control=self.spec.use_control,
-                            per_case=per_case)
-
     def fit(self, cases: Sequence[TestCase], ctx: RunContext) -> None:
         spec, scale, seed = self.spec, self.scale, self.seed
-
-        def build(dataset):
-            model = spec.build_model(len(dataset.vocab), scale,
-                                     dataset.word2vec.vectors, seed)
-            dataset.bind_embedding_aliases(model)
-            return model
-
-        # Fixed-length BRNNs batch at 64 (train_and_evaluate's policy);
-        # decided from the builder because the stage needs the batch
-        # size before the model exists.
+        gadgets = extract_gadgets(cases, self.kind, self.categories,
+                                  use_control=spec.use_control,
+                                  **ctx.extract_kwargs())
+        if not gadgets:
+            raise ValueError("no gadgets could be extracted from the "
+                             "training corpus")
+        dataset = encode_gadgets(gadgets, dim=scale.dim,
+                                 w2v_epochs=scale.w2v_epochs, seed=seed,
+                                 telemetry=ctx.telemetry)
+        model = spec.build_model(len(dataset.vocab), scale,
+                                 dataset.word2vec.vectors, seed)
+        dataset.bind_embedding_aliases(model)
+        # Fixed-length BRNNs batch at 64 (train_and_evaluate's policy).
         batch_size = (64 if spec.builder in (BLSTMNet, BGRUNet)
                       else scale.batch_size)
-        engine = Engine(
-            self._extract_stage(),
-            EncodeStage(dim=scale.dim, w2v_epochs=scale.w2v_epochs,
-                        seed=seed),
-            TrainStage(build, epochs=scale.epochs,
-                       batch_size=batch_size, lr=scale.learning_rate,
-                       seed=seed),
-            ctx=ctx)
-        result = engine.run(cases)
-        self._model = result.model
-        self._vocab = result.dataset.vocab
+        train_classifier(model, dataset.samples, epochs=scale.epochs,
+                         batch_size=batch_size, lr=scale.learning_rate,
+                         seed=seed, telemetry=ctx.telemetry,
+                         checkpoint_dir=ctx.checkpoint_dir,
+                         resume=ctx.resume)
+        self._model = model
+        self._vocab = dataset.vocab
 
     def predict(self, cases: Sequence[TestCase],
                 ctx: RunContext) -> Prediction:
         if self._model is None or self._vocab is None:
             raise RuntimeError(
                 f"{self.name}: predict() before fit()")
-        engine = Engine(self._extract_stage(per_case=True), ctx=ctx)
-        per_case = [result for chunk in engine.run(cases)
-                    for result in chunk]
+        config = _make_config(self.kind, self.categories,
+                              use_control=self.spec.use_control,
+                              keep_gadget=False,
+                              case_timeout=ctx.case_timeout)
+        per_case = CorpusExtractor(
+            config, workers=ctx.workers, cache=ctx.cache,
+            quarantine=ctx.quarantine, telemetry=ctx.telemetry,
+            retries=ctx.retries).run(cases, failures=ctx.failures)
         # Corpus-order dedup over the per-case stream reconstructs the
         # one-shot extract_gadgets() list exactly, so gadget metrics
         # match the historical serial path byte for byte.

@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from ..core.engine import RunContext
+from ..core.context import RunContext
 from ..datasets.adapters import DatasetAdapter, DatasetSplit, derive_seed
 from ..datasets.manifest import TestCase
 from .detector import Detector, Prediction, build_detector

@@ -6,12 +6,11 @@ equal parts for five-fold cross-validation."  This module runs that
 protocol at any scale: sample gadgets, stratified k-fold split, train a
 fresh model per fold, aggregate the fold metrics.
 
-The driver is built on the stage engine: pass ``cases`` (plus an
-optional shared :class:`~repro.core.engine.RunContext`) and extraction
-runs through the context's gadget cache — repeated protocol runs over
-the same corpus (ablations, threshold sweeps) skip the frontend
-entirely.  Each fold trains through its own
-:class:`~repro.core.engine.TrainStage` with a private
+Pass ``cases`` (plus an optional shared
+:class:`~repro.core.context.RunContext`) and extraction runs through
+the context's gadget cache — repeated protocol runs over the same
+corpus (ablations, threshold sweeps) skip the frontend entirely.  Each
+fold trains with a private
 :class:`~repro.core.telemetry.Telemetry`, surfaced per fold on
 :class:`FoldResult` and aggregated by
 :meth:`CrossValidationReport.summary`.
@@ -19,16 +18,17 @@ entirely.  Each fold trains through its own
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ..core.engine import (EncodeStage, Engine, ExtractStage,
-                           RunContext, TrainStage)
-from ..core.extract import LabeledGadget
+from ..core.context import RunContext
+from ..core.encode import encode_gadgets
+from ..core.extract import LabeledGadget, extract_gadgets
 from ..core.score import evaluate_classifier
 from ..core.telemetry import Telemetry
+from ..core.train import train_classifier
 from ..datasets.manifest import TestCase
 from .crossval import stratified_kfold_indices
 from .metrics import Metrics
@@ -125,10 +125,10 @@ def cross_validate(
         gadgets: the labelled gadget pool (pass this *or* ``cases``).
         model_builder: callable ``(vocab_size, pretrained) -> model``;
             called fresh for every fold.
-        cases: corpus programs to extract the pool from, through the
-            engine — with a cache-bearing ``ctx``, repeated runs hit
-            the gadget cache instead of re-slicing.
-        ctx: shared :class:`~repro.core.engine.RunContext` (cache,
+        cases: corpus programs to extract the pool from — with a
+            cache-bearing ``ctx``, repeated runs hit the gadget cache
+            instead of re-slicing.
+        ctx: shared :class:`~repro.core.context.RunContext` (cache,
             quarantine, telemetry, fault budget); a fresh default
             context is made when omitted.
         kind, categories: extraction settings for ``cases``.
@@ -143,9 +143,8 @@ def cross_validate(
         ctx = RunContext.create()
     rng = np.random.default_rng(seed)
     if cases is not None:
-        chunks = Engine(ExtractStage(kind, categories),
-                        ctx=ctx).run(cases)
-        pool = [gadget for chunk in chunks for gadget in chunk]
+        pool = extract_gadgets(cases, kind, categories,
+                               **ctx.extract_kwargs())
     else:
         pool = list(gadgets)
     if sample is not None and sample < len(pool):
@@ -157,34 +156,26 @@ def cross_validate(
     # One vocabulary + embedding per run (training folds dominate the
     # corpus, so vocabulary leakage across folds is negligible and the
     # paper pre-trains word2vec on the full corpus the same way).
-    dataset = Engine(EncodeStage(dim=dim, w2v_epochs=w2v_epochs,
-                                 seed=seed), ctx=ctx).run(pool)
+    dataset = encode_gadgets(pool, dim=dim, w2v_epochs=w2v_epochs,
+                             seed=seed, telemetry=ctx.telemetry)
     labels = [g.label for g in pool]
-
-    def build(encoded):
-        model = model_builder(len(encoded.vocab),
-                              encoded.word2vec.vectors)
-        encoded.bind_embedding_aliases(model)
-        return model
 
     folds: list[FoldResult] = []
     for fold_index, (train_idx, test_idx) in enumerate(
             stratified_kfold_indices(labels, k, rng)):
+        # private telemetry and no checkpoint directory: folds have
+        # different sample sets, so none may resume from another's
         fold_telemetry = Telemetry()
-        # private telemetry; never resume fold training from a shared
-        # checkpoint directory — folds have different sample sets
-        fold_ctx = replace(ctx, telemetry=fold_telemetry,
-                           checkpoint_dir=None, resume=False,
-                           failures=[])
-        stage = TrainStage(
-            build, epochs=epochs, batch_size=batch_size, lr=lr,
-            seed=seed + fold_index,
-            samples_of=lambda encoded, idx=train_idx:
-                [encoded.samples[i] for i in idx])
-        result = next(iter(stage.pipe(iter([dataset]), fold_ctx)))
+        model = model_builder(len(dataset.vocab),
+                              dataset.word2vec.vectors)
+        dataset.bind_embedding_aliases(model)
+        train_classifier(model, [dataset.samples[i] for i in train_idx],
+                         epochs=epochs, batch_size=batch_size, lr=lr,
+                         seed=seed + fold_index,
+                         telemetry=fold_telemetry)
         test_samples = [dataset.samples[i] for i in test_idx]
         with fold_telemetry.stage("evaluate"):
-            metrics = evaluate_classifier(result.model, test_samples,
+            metrics = evaluate_classifier(model, test_samples,
                                           threshold=threshold)
         folds.append(FoldResult(fold_index, metrics,
                                 len(train_idx), len(test_idx),

@@ -28,13 +28,9 @@ just their mathematics — e.g. relu is ``x * (x > 0)`` (not
 same ``np.einsum("bok,ck->bco", ..., optimize=True)`` call as
 :func:`repro.nn.ops.conv1d`.
 
-**Reduced precision**: the compute dtype follows the weights.  Under
-float16 weights (see :mod:`repro.nn.quantize`) elementwise ops run in
-half precision while matmuls/einsums are computed through float32
-casts (numpy's half-precision matmul has no BLAS backing) and rounded
-back — float16 storage, float32 accumulation.  int8-quantized models
-arrive here as dequantized float32 arrays, so they take the plain
-float32 path.
+**Reduced precision**: int8-quantized models (see
+:mod:`repro.nn.quantize`) arrive here as dequantized float32 arrays,
+so they take the plain float32 path.
 """
 
 from __future__ import annotations
@@ -66,8 +62,7 @@ class InferenceKernel:
     so concurrent ``predict_proba`` calls (the thread scorer) never
     share a buffer.  Weight rebinding (``load_state_dict``,
     quantization) is picked up automatically — weights are read from
-    the live parameters on every call, and the float32 matmul casts
-    kept for float16 models are invalidated by identity check.
+    the live parameters on every call.
     """
 
     #: Scratch entries kept per thread before the cache resets; each
@@ -77,10 +72,8 @@ class InferenceKernel:
     def __init__(self, net):
         self.net = net
         self._tls = threading.local()
-        self._f32_lock = threading.Lock()
-        self._f32: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    # -- buffers & dtype-aware matmul ----------------------------------------
+    # -- buffers & matmul ------------------------------------------------------
 
     def _buffers(self) -> dict:
         buffers = getattr(self._tls, "buffers", None)
@@ -99,45 +92,20 @@ class InferenceKernel:
             array = buffers[key] = np.empty(shape, dtype=dtype)
         return array
 
-    def _f32_weight(self, param) -> np.ndarray:
-        """float32 view of a float16 parameter, cached until rebound."""
-        with self._f32_lock:
-            entry = self._f32.get(id(param))
-            if entry is None or entry[0] is not param.data:
-                entry = (param.data, param.data.astype(np.float32))
-                self._f32[id(param)] = entry
-            return entry[1]
-
     def _matmul(self, a: np.ndarray, wparam, tag: str,
                 shape: tuple[int, ...]) -> np.ndarray:
-        """``a @ w`` into a scratch buffer (float32 compute for f16)."""
-        w = wparam.data
+        """``a @ w`` into a scratch buffer."""
         out = self._scratch(tag, shape, a.dtype)
-        if w.dtype == np.float16:
-            out[...] = np.matmul(a.astype(np.float32),
-                                 self._f32_weight(wparam))
-            return out
-        return np.matmul(a, w, out=out)
-
-    def _einsum_conv(self, cols: np.ndarray, wparam,
-                     out_channels: int) -> np.ndarray:
-        """The conv contraction, identical to
-        :func:`repro.nn.ops.conv1d`'s einsum at float32."""
-        w = wparam.data
-        if w.dtype == np.float16:
-            r = np.einsum("bok,ck->bco", cols.astype(np.float32),
-                          self._f32_weight(wparam).reshape(
-                              out_channels, -1),
-                          optimize=True)
-            return r.astype(np.float16)
-        return np.einsum("bok,ck->bco", cols,
-                         w.reshape(out_channels, -1), optimize=True)
+        return np.matmul(a, wparam.data, out=out)
 
     def _conv1d(self, padded: np.ndarray, conv) -> np.ndarray:
         kernel = conv.weight.data.shape[2]
         out_channels = conv.weight.data.shape[0]
         cols = _im2col(padded, kernel, 1)
-        out = self._einsum_conv(cols, conv.weight, out_channels)
+        # the same einsum call as repro.nn.ops.conv1d (bit identity)
+        out = np.einsum("bok,ck->bco", cols,
+                        conv.weight.data.reshape(out_channels, -1),
+                        optimize=True)
         if conv.bias is not None:
             out += conv.bias.data[None, :, None]
         return out
@@ -174,12 +142,7 @@ class InferenceKernel:
                              (batch, length, dim))
             u += attn.proj.bias.data
             np.tanh(u, out=u)
-            if attn.context.data.dtype == np.float16:
-                gate = np.matmul(
-                    u.astype(np.float32),
-                    self._f32_weight(attn.context)).astype(np.float16)
-            else:
-                gate = np.matmul(u, attn.context.data)   # (B, T) scores
+            gate = np.matmul(u, attn.context.data)       # (B, T) scores
             gate += np.asarray(attn.GATE_BIAS, dtype=dtype)
             _sigmoid_inplace(gate)
             x *= gate[:, :, None]
@@ -200,17 +163,11 @@ class InferenceKernel:
             h_avg = self._matmul(avg, chan.fc1.weight, "ch.h",
                                  (batch, hidden))
             h_avg *= h_avg > 0
-            a_avg = np.matmul(h_avg, chan.fc2.weight.data) \
-                if dtype != np.float16 else np.matmul(
-                    h_avg.astype(np.float32),
-                    self._f32_weight(chan.fc2.weight)).astype(dtype)
+            a_avg = np.matmul(h_avg, chan.fc2.weight.data)
             h_mx = self._matmul(mx, chan.fc1.weight, "ch.h2",
                                 (batch, hidden))
             h_mx *= h_mx > 0
-            a_mx = np.matmul(h_mx, chan.fc2.weight.data) \
-                if dtype != np.float16 else np.matmul(
-                    h_mx.astype(np.float32),
-                    self._f32_weight(chan.fc2.weight)).astype(dtype)
+            a_mx = np.matmul(h_mx, chan.fc2.weight.data)
             att = a_avg
             att += a_mx
             att += chan.gate_bias.data

@@ -86,7 +86,7 @@ class SEVulDetNet(Module):
         (batch,) logit ndarray, no autograd graph.
 
         Bit-identical to ``forward(ids).data`` at float32 (pinned by
-        ``tests/models/test_fused.py``); under float16/int8 weights it
+        ``tests/models/test_fused.py``); under int8 weights it
         is the measured-guardband path (see
         :meth:`repro.core.detector.SEVulDet.quantize`).  Dropout is
         treated as identity, so callers must be in eval mode — exactly

@@ -8,13 +8,6 @@ differences with eps=1e-6 need ~15 significant digits) via
 :func:`set_default_dtype`, and ``REPRO_DTYPE=float64`` in the
 environment restores the old behavior process-wide.
 
-float16 is allowed as a *storage/inference* dtype: the fused inference
-kernel (:mod:`repro.models.fused`) runs half-precision models with
-float32 matmul accumulation, and :mod:`repro.nn.quantize` casts a
-trained model down for serving.  Training in float16 is unsupported
-(gradients underflow), so the default stays float32 unless explicitly
-overridden.
-
 Persisted archives are dtype-agnostic: ``load_state_dict`` casts
 whatever was saved into the active default, so a float64-trained model
 loads cleanly into a float32 session and vice versa.
@@ -36,21 +29,21 @@ from contextlib import contextmanager
 __all__ = ["get_default_dtype", "set_default_dtype", "default_dtype",
            "INFERENCE_DTYPES", "coerce_inference_dtype"]
 
-_ALLOWED = (np.float16, np.float32, np.float64)
+_ALLOWED = (np.float32, np.float64)
 
 #: Inference-time weight representations accepted by ``scan --dtype``
 #: and :meth:`repro.core.detector.SEVulDet.quantize`.  ``int8`` is a
 #: quantization scheme (stored scale/zero-point per tensor), so it is
 #: valid here but *not* a default compute dtype.
-INFERENCE_DTYPES = ("float32", "float16", "int8")
+INFERENCE_DTYPES = ("float32", "int8")
 
 
 def _coerce(dtype) -> np.dtype:
     resolved = np.dtype(dtype)
     if resolved not in [np.dtype(d) for d in _ALLOWED]:
         raise ValueError(
-            f"unsupported compute dtype {dtype!r}; choose float16, "
-            f"float32 or float64")
+            f"unsupported compute dtype {dtype!r}; choose float32 or "
+            f"float64")
     return resolved
 
 

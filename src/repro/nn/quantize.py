@@ -1,21 +1,15 @@
-"""Reduced-precision inference weights (float16 cast, int8 affine).
+"""Reduced-precision inference weights (int8 affine).
 
-Two schemes, both applied to a *trained* model in place:
+``int8`` is per-tensor affine quantization of every weight matrix
+(``ndim >= 2``), applied to a *trained* model in place:
+``q = round(w / scale) + zero_point`` over the int8 range, dequantized
+back into float32 immediately ("dequantize-on-load into the matmul
+dtype").  1-D parameters (biases, attention gate biases) stay float32
+— they are a rounding error of the total payload and quantizing them
+costs accuracy for nothing, the standard practice in int8 inference
+runtimes.
 
-* ``float16`` — every parameter is cast to half precision.  The fused
-  inference kernel (:mod:`repro.models.fused`) keeps matmul
-  accumulation in float32 (numpy's half has no BLAS backing), so
-  float16 is a storage/bandwidth dtype: weights, activations, and
-  scores travel at 2 bytes/element.
-* ``int8`` — per-tensor affine quantization of every weight matrix
-  (``ndim >= 2``): ``q = round(w / scale) + zero_point`` over the
-  int8 range, dequantized back into float32 immediately
-  ("dequantize-on-load into the matmul dtype").  1-D parameters
-  (biases, attention gate biases) stay float32 — they are a rounding
-  error of the total payload and quantizing them costs accuracy for
-  nothing, the standard practice in int8 inference runtimes.
-
-Neither scheme touches the model architecture, so a quantized model
+The scheme does not touch the model architecture, so a quantized model
 scores through exactly the same code paths; the accuracy cost is
 measured (not assumed) by
 :meth:`repro.core.detector.SEVulDet.quantize`, which reports
@@ -140,11 +134,10 @@ def apply_inference_dtype(model: Module,
                           dtype: str) -> QuantizationReport:
     """Re-represent ``model``'s weights for inference, in place.
 
-    ``float32`` casts everything (back) to float32; ``float16`` casts
-    everything to half precision; ``int8`` quantizes weight matrices
-    per tensor and binds the *dequantized* float32 arrays (the matmul
-    dtype), recording scale/zero-point and the worst per-tensor
-    reconstruction error in the report.
+    ``float32`` casts everything (back) to float32; ``int8`` quantizes
+    weight matrices per tensor and binds the *dequantized* float32
+    arrays (the matmul dtype), recording scale/zero-point and the
+    worst per-tensor reconstruction error in the report.
     """
     from .dtype import coerce_inference_dtype
 
@@ -154,9 +147,7 @@ def apply_inference_dtype(model: Module,
     named = {}
     model._collect_params(named, prefix="")
     for name, param in named.items():
-        if dtype == "float16":
-            param.data = param.data.astype(np.float16)
-        elif dtype == "int8" and param.data.ndim >= 2:
+        if dtype == "int8" and param.data.ndim >= 2:
             q = quantize_tensor(param.data)
             restored = dequantize_tensor(q, np.float32)
             error = float(np.max(np.abs(

@@ -10,8 +10,9 @@ closeness.
 import numpy as np
 import pytest
 
-from repro.core.pipeline import (encode_gadgets, extract_gadgets,
-                                 train_classifier)
+from repro.core.encode import encode_gadgets
+from repro.core.extract import extract_gadgets
+from repro.core.train import train_classifier
 from repro.core.resilience import TrainingCheckpoint
 from repro.core.telemetry import Telemetry
 from repro.datasets.sard import generate_sard_corpus

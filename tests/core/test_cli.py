@@ -159,7 +159,7 @@ class TestExportCorpus:
 
 class TestEndToEndSmoke:
     """extract -> train -> scan on a tiny synthetic corpus, sharing
-    one gadget cache across subcommands (the engine's RunContext)."""
+    one gadget cache across subcommands (the shared RunContext)."""
 
     def test_full_pipeline_smoke(self, tmp_path, capsys):
         cache = str(tmp_path / "cache")

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.cwe_typing import CWETyper
-from repro.core.pipeline import encode_gadgets, extract_gadgets
+from repro.core.encode import encode_gadgets
+from repro.core.extract import extract_gadgets
 from repro.datasets.sard import generate_sard_corpus
 from repro.models.multiclass import CWETypeNet
 from repro.nn import Tensor, cross_entropy, set_default_dtype

@@ -7,7 +7,8 @@ import pytest
 from repro.core.attention_hook import attention_report, weights_by_line
 from repro.core.config import SCALE_PRESETS
 from repro.core.detector import SEVulDet
-from repro.core.pipeline import encode_gadgets, extract_gadgets
+from repro.core.encode import encode_gadgets
+from repro.core.extract import extract_gadgets
 from repro.datasets.cwe_templates import TEMPLATES, generate_case
 from repro.datasets.sard import generate_sard_corpus
 from repro.models.sevuldet import SEVulDetNet
@@ -132,7 +133,8 @@ class TestAttentionHookConsistency:
         Normalizer; the reconstruction must agree with the stored token
         stream for every gadget, not just the case-study one."""
         from repro.core.attention_hook import weights_by_line
-        from repro.core.pipeline import encode_gadgets, extract_gadgets
+        from repro.core.encode import encode_gadgets
+        from repro.core.extract import extract_gadgets
         corpus = generate_sard_corpus(15, seed=47)
         gadgets = extract_gadgets(corpus, keep_gadget=True,
                                   deduplicate=False)
@@ -156,18 +158,6 @@ class TestQuantization:
         detector.load(path)
         return detector
 
-    def test_float16_guardband_is_measured_and_small(self, fresh):
-        calibration = generate_sard_corpus(10, seed=9091)
-        report = fresh.quantize("float16", calibration)
-        assert fresh.inference_dtype == "float16"
-        assert report.calibration_samples > 0
-        assert report.max_abs_delta < 5e-3
-        assert report.flips == 0
-        assert all(p.data.dtype == np.float16
-                   for p in fresh.model.parameters())
-        assert (report.weights_nbytes_after * 2
-                == report.weights_nbytes_before)
-
     def test_int8_dequantizes_to_float32_grid(self, fresh):
         report = fresh.quantize("int8",
                                 generate_sard_corpus(10, seed=9091))
@@ -188,25 +178,34 @@ class TestQuantization:
         assert fresh.config_token() != before
 
     def test_double_quantization_raises(self, fresh):
-        fresh.quantize("float16")
-        with pytest.raises(ValueError, match="already float16"):
-            fresh.quantize("int8")
+        fresh.quantize("int8")
+        with pytest.raises(ValueError, match="already int8"):
+            fresh.quantize("float32")
         # re-applying the same dtype is allowed (idempotent)
-        fresh.quantize("float16")
+        fresh.quantize("int8")
 
     def test_unknown_dtype_rejected(self, fresh):
         with pytest.raises(ValueError):
             fresh.quantize("bfloat16")
 
+    def test_float16_archive_is_rejected_on_load(self, fresh, tmp_path):
+        # float16 inference weights are no longer supported: an archive
+        # tagged with them must fail loudly, naming the dtype
+        fresh.inference_dtype = "float16"
+        path = tmp_path / "f16.npz"
+        fresh.save(path)
+        with pytest.raises(ValueError, match="float16"):
+            SEVulDet(scale=fresh.scale).load(path)
+
     def test_quantized_save_load_roundtrip(self, fresh, tmp_path):
-        fresh.quantize("float16")
+        fresh.quantize("int8")
         saved_state = {k: v.copy()
                        for k, v in fresh.model.state_dict().items()}
-        path = tmp_path / "f16.npz"
+        path = tmp_path / "int8.npz"
         fresh.save(path)
         restored = SEVulDet(scale=fresh.scale)
         restored.load(path)
-        assert restored.inference_dtype == "float16"
+        assert restored.inference_dtype == "int8"
         for key, value in restored.model.state_dict().items():
             assert value.dtype == saved_state[key].dtype, key
             assert np.array_equal(value, saved_state[key]), key
@@ -221,9 +220,9 @@ class TestQuantization:
         from repro.core.serve import ScanService
 
         calibration = generate_sard_corpus(6, seed=9091)
-        with ScanService(fresh, workers=1, dtype="float16",
+        with ScanService(fresh, workers=1, dtype="int8",
                          calibration=calibration) as service:
-            assert fresh.inference_dtype == "float16"
+            assert fresh.inference_dtype == "int8"
             assert fresh.quantization_report is not None
             assert service.config_token != trained.config_token()
             case = generate_case(TEMPLATES[0], vulnerable=True,

@@ -254,7 +254,7 @@ class TestWatchLoop:
             loop.poll()
             analyzed = service.telemetry.calls("analyze")
             assert loop.poll() == []
-            # untouched tree: not a single case re-entered the engine
+            # untouched tree: not a single case re-entered extraction
             assert service.telemetry.calls("analyze") == analyzed
 
     def test_edit_emits_delta_without_reemitting_others(

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.pipeline import (encode_gadgets, evaluate_classifier,
-                                 extract_gadgets, train_classifier)
+from repro.core.encode import encode_gadgets
+from repro.core.extract import extract_gadgets
+from repro.core.score import evaluate_classifier
+from repro.core.train import train_classifier
 from repro.datasets.sard import generate_sard_corpus
 from repro.models.sevuldet import SEVulDetNet
 

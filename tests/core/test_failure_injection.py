@@ -10,8 +10,10 @@ import pytest
 
 from repro.core.detector import SEVulDet
 from repro.core.config import Scale
-from repro.core.pipeline import (encode_gadgets, extract_gadgets,
-                                 predict_proba, train_classifier)
+from repro.core.encode import encode_gadgets
+from repro.core.extract import extract_gadgets
+from repro.core.score import predict_proba
+from repro.core.train import train_classifier
 from repro.datasets.manifest import TestCase
 from repro.datasets.sard import generate_sard_corpus
 from repro.models.sevuldet import SEVulDetNet

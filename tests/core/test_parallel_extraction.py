@@ -9,7 +9,7 @@ exactly what was computed versus served from cache.
 import pytest
 
 from repro.core.cache import GadgetCache
-from repro.core.pipeline import extract_gadgets
+from repro.core.extract import extract_gadgets
 from repro.core.telemetry import Telemetry
 from repro.datasets.manifest import TestCase
 from repro.datasets.sard import generate_sard_corpus
@@ -65,7 +65,7 @@ class TestTelemetryCounters:
         assert telemetry.seconds("extract") > 0.0
 
     def test_skip_logged(self, caplog):
-        with caplog.at_level("WARNING", logger="repro.core.pipeline"):
+        with caplog.at_level("WARNING", logger="repro.core.extract"):
             extract_gadgets([BROKEN_CASE])
         assert any("skipped 1/1" in record.getMessage()
                    for record in caplog.records)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.config import SCALE_PRESETS, current_scale
-from repro.core.pipeline import (encode_gadgets, evaluate_classifier,
-                                 extract_gadgets, predict_proba,
-                                 train_classifier)
+from repro.core.encode import encode_gadgets
+from repro.core.extract import extract_gadgets
+from repro.core.score import evaluate_classifier, predict_proba
+from repro.core.train import train_classifier
 from repro.datasets.sard import generate_sard_corpus
 from repro.models.sevuldet import SEVulDetNet
 

@@ -17,7 +17,7 @@ import pytest
 from repro.core.cache import GadgetCache
 from repro.core.detector import SEVulDet
 from repro.core.config import Scale
-from repro.core.pipeline import extract_gadgets
+from repro.core.extract import extract_gadgets
 from repro.core.resilience import (CaseTimeout, Quarantine, time_limit)
 from repro.core.telemetry import Telemetry
 from repro.datasets.sard import generate_sard_corpus
@@ -214,7 +214,7 @@ class TestWidenedBoundary:
         with faults.injected(
                 f"raise@case:{victim.name}:RecursionError"):
             with caplog.at_level(logging.WARNING,
-                                 logger="repro.core.pipeline"):
+                                 logger="repro.core.extract"):
                 result = extract_gadgets(corpus, telemetry=telemetry,
                                          failures=failures)
         assert result == extract_without(corpus, victim.name)

@@ -251,6 +251,63 @@ class TestServiceLifecycle:
                 service.scan_paths([tmp_path / "nope.c"])
 
 
+class TestExtractionThread:
+    """A scan extracts its misses on exactly one thread,
+    ``scan-extract-drain``, 16 cases per chunk."""
+
+    def test_one_extraction_thread_per_scan(self, detector, corpus,
+                                            monkeypatch):
+        from repro.core.extract import CorpusExtractor
+
+        calls = []
+        original = CorpusExtractor.run
+
+        def spy(extractor, cases, failures=None):
+            calls.append((threading.current_thread().name, len(cases),
+                          [t.name for t in threading.enumerate()]))
+            return original(extractor, cases, failures)
+
+        monkeypatch.setattr(CorpusExtractor, "run", spy)
+        with ScanService(detector, workers=2,
+                         batch_size=16) as service:
+            service.scan_cases(corpus)
+        assert [size for _, size, _ in calls] == [16, 14]
+        for thread_name, _, alive in calls:
+            assert thread_name == "scan-extract-drain"
+            assert alive.count("scan-extract-drain") == 1
+            assert "engine-prefetch" not in alive
+        assert not [t for t in threading.enumerate()
+                    if t.name == "scan-extract-drain"]
+
+    def test_abandoned_scan_joins_its_thread(self, detector, corpus):
+        # a caller that stops reading mid-stream must not leave the
+        # extraction thread running against a closed service
+        with ScanService(detector, workers=1,
+                         batch_size=8) as service:
+            stream = service.scan_stream(corpus)
+            next(stream)
+            stream.close()
+            assert not [t for t in threading.enumerate()
+                        if t.name == "scan-extract-drain"]
+            # the service keeps serving after an abandoned scan
+            assert service.scan_case(corpus[-1]).name == corpus[-1].name
+
+    def test_extraction_error_reaches_the_caller(self, detector,
+                                                 corpus, monkeypatch):
+        from repro.core.extract import CorpusExtractor
+
+        def boom(extractor, cases, failures=None):
+            raise RuntimeError("extraction exploded")
+
+        monkeypatch.setattr(CorpusExtractor, "run", boom)
+        with ScanService(detector, workers=1,
+                         batch_size=8) as service:
+            with pytest.raises(RuntimeError, match="exploded"):
+                service.scan_cases(corpus[:3])
+        assert not [t for t in threading.enumerate()
+                    if t.name == "scan-extract-drain"]
+
+
 class TestScanCLI:
     @pytest.fixture(scope="class")
     def model_path(self, detector, tmp_path_factory):

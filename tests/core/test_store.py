@@ -4,7 +4,7 @@ import logging
 
 import pytest
 
-from repro.core.pipeline import extract_gadgets
+from repro.core.extract import extract_gadgets
 from repro.core.store import iter_gadgets, load_gadgets, save_gadgets
 from repro.datasets.sard import generate_sard_corpus
 
@@ -36,7 +36,7 @@ class TestStore:
         assert streamed == [g.tokens for g in load_gadgets(path)]
 
     def test_restored_gadgets_encode(self, gadgets, tmp_path):
-        from repro.core.pipeline import encode_gadgets
+        from repro.core.encode import encode_gadgets
         path = tmp_path / "gadgets.jsonl"
         save_gadgets(gadgets, path)
         dataset = encode_gadgets(load_gadgets(path), dim=8,

@@ -45,6 +45,37 @@ class TestStages:
         assert telemetry.calls("slice") == 10
 
 
+class TestDistributions:
+    def test_percentiles_follow_recent_samples(self):
+        # a long-running daemon's p50 must track current traffic, not
+        # freeze at its first MAX_OBSERVATIONS samples
+        from repro.core.telemetry import MAX_OBSERVATIONS
+
+        telemetry = Telemetry()
+        for value in [0.0] * MAX_OBSERVATIONS + [1.0] * MAX_OBSERVATIONS:
+            telemetry.observe("latency", value)
+        assert telemetry.percentile("latency", 50) == 1.0
+        assert telemetry.observation_stats("latency")["mean"] == 1.0
+        assert telemetry.get("observations_dropped") == MAX_OBSERVATIONS
+
+    def test_merge_dict_and_pickle_keep_the_window(self):
+        import pickle
+
+        from repro.core.telemetry import MAX_OBSERVATIONS
+
+        telemetry = Telemetry()
+        for value in range(MAX_OBSERVATIONS + 10):
+            telemetry.observe("depth", value)
+        merged = Telemetry().merge(telemetry)
+        restored = Telemetry().merge_dict(telemetry.as_dict())
+        unpickled = pickle.loads(pickle.dumps(telemetry))
+        for copy in (merged, restored, unpickled):
+            assert copy.percentile("depth", 0) == 10.0
+            assert len(copy.observations["depth"]) == MAX_OBSERVATIONS
+        unpickled.observe("depth", -1.0)  # still bounded after unpickle
+        assert len(unpickled.observations["depth"]) == MAX_OBSERVATIONS
+
+
 class TestAggregation:
     def test_merge(self):
         a = Telemetry()
@@ -81,7 +112,7 @@ class TestAggregation:
 
 class TestThreadSafety:
     """Regression: one Telemetry is shared across scorer worker
-    threads and the engine prefetch pump (via ScanService), but the
+    threads and the scan extraction thread (via ScanService), but the
     read-modify-writes on its plain dicts used to be unlocked —
     concurrent increments were silently lost."""
 

@@ -47,7 +47,7 @@ class TestManifestRoundTrip:
                 original.meta["template"]
 
     def test_imported_corpus_feeds_pipeline(self, tmp_path):
-        from repro.core.pipeline import extract_gadgets
+        from repro.core.extract import extract_gadgets
         cases = generate_sard_corpus(6, seed=13)
         export_corpus(cases, tmp_path / "corpus")
         restored = import_corpus(tmp_path / "corpus")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.pipeline import extract_gadgets
+from repro.core.extract import extract_gadgets
 from repro.datasets.nvd import generate_nvd_corpus
 from repro.lang.callgraph import analyze
 

@@ -12,7 +12,7 @@ import pytest
 
 from repro.baselines import FlawfinderScanner, VuddyScanner
 from repro.core.config import Scale
-from repro.core.engine import RunContext
+from repro.core.context import RunContext
 from repro.datasets.adapters import FixedCorpusAdapter, SardAdapter
 from repro.datasets.sard import generate_sard_corpus
 from repro.eval.comparison import FRAMEWORKS, train_and_evaluate

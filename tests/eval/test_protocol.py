@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.pipeline import extract_gadgets
+from repro.core.extract import extract_gadgets
 from repro.datasets.sard import generate_sard_corpus
 from repro.eval.protocol import cross_validate
 from repro.models.sevuldet import SEVulDetNet
@@ -72,7 +72,7 @@ class TestCaseExtractionThroughContext:
     shared RunContext's gadget cache."""
 
     def test_repeated_protocol_runs_hit_cache(self, tmp_path):
-        from repro.core.engine import RunContext
+        from repro.core.context import RunContext
         from repro.datasets.sard import generate_sard_corpus
 
         cases = generate_sard_corpus(40, seed=5)

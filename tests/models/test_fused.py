@@ -121,8 +121,7 @@ class TestReducedPrecisionGuardband:
         with no_grad():
             return net.predict_proba(ids).astype(np.float64)
 
-    @pytest.mark.parametrize("dtype,tolerance", [("float16", 5e-3),
-                                                 ("int8", 2e-2)])
+    @pytest.mark.parametrize("dtype,tolerance", [("int8", 2e-2)])
     def test_delta_vs_float32_is_bounded(self, dtype, tolerance):
         net = build()
         ids = batch(np.random.default_rng(7), shape=(8, 15))
@@ -130,13 +129,6 @@ class TestReducedPrecisionGuardband:
         apply_inference_dtype(net, dtype)
         delta = np.abs(self._probs(net, ids) - base)
         assert delta.max() < tolerance
-
-    def test_float16_weights_emit_float16_scores(self):
-        net = build()
-        apply_inference_dtype(net, "float16")
-        ids = batch(np.random.default_rng(8))
-        with no_grad():
-            assert net.predict_proba(ids).dtype == np.float16
 
     def test_int8_dequantizes_into_float32(self):
         net = build()
@@ -147,18 +139,20 @@ class TestReducedPrecisionGuardband:
         with no_grad():
             assert net.predict_proba(ids).dtype == np.float32
 
-    def test_weight_rebind_invalidates_f32_cache(self):
-        """The float16 kernel caches float32 weight casts keyed on
-        array identity; rebinding weights must refresh them."""
+    def test_weight_rebind_is_picked_up(self):
+        """The kernel reads the live parameters on every call, so
+        rebinding weights (quantization, load_state_dict) takes
+        effect on the next forward."""
         net = build()
-        apply_inference_dtype(net, "float16")
+        apply_inference_dtype(net, "int8")
         ids = batch(np.random.default_rng(10))
         with no_grad():
             before = net.forward_inference(ids)
-            net.fc3.bias.data = net.fc3.bias.data + np.float16(1.0)
+            net.fc3.bias.data = net.fc3.bias.data + np.float32(1.0)
             net.fc1.weight.data = (net.fc1.weight.data
-                                   * np.float16(2.0))
+                                   * np.float32(2.0))
             after = net.forward_inference(ids)
+            assert np.array_equal(after, net.forward(ids).data)
         assert not np.array_equal(before, after)
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from repro.nn import (Tensor, default_dtype, get_default_dtype,
                       load_model, save_model, set_default_dtype)
-from repro.nn.dtype import _coerce
+from repro.nn.dtype import _coerce, coerce_inference_dtype
 from repro.models.sevuldet import SEVulDetNet
 
 
@@ -50,10 +50,11 @@ class TestPolicy:
         with pytest.raises(ValueError):
             _coerce("int8")
 
-    def test_float16_is_a_valid_storage_dtype(self):
-        with default_dtype(np.float16):
-            assert get_default_dtype() == np.float16
-            assert Tensor([1.0, 2.0]).data.dtype == np.float16
+    def test_float16_is_not_a_supported_dtype(self):
+        with pytest.raises(ValueError):
+            set_default_dtype(np.float16)
+        with pytest.raises(ValueError):
+            coerce_inference_dtype("float16")
 
     def test_inference_dtype_vocabulary(self):
         from repro.nn import INFERENCE_DTYPES, coerce_inference_dtype

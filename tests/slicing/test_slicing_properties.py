@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.core.pipeline import extract_gadgets
+from repro.core.extract import extract_gadgets
 from repro.datasets.cwe_templates import TEMPLATES, generate_case
 from repro.lang.callgraph import analyze
 from repro.slicing.gadget import classic_gadget

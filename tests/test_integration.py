@@ -13,7 +13,7 @@ from repro.baselines.checkmarx import CheckmarxScanner
 from repro.baselines.flawfinder import FlawfinderScanner
 from repro.core.config import Scale
 from repro.core.detector import SEVulDet
-from repro.core.pipeline import extract_gadgets
+from repro.core.extract import extract_gadgets
 from repro.datasets.sard import generate_sard_corpus
 from repro.datasets.xen import CVE_CASES, generate_xen_corpus
 from repro.eval.comparison import evaluate_static_tool
