@@ -14,12 +14,14 @@ from __future__ import annotations
 import logging
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
 from ..datasets.manifest import TestCase
 from ..embedding.vocab import Vocabulary
-from ..lang.callgraph import analyze, ast_call_edges
+from ..lang.callgraph import analyze
 from ..lang.parser import ParseError
 from ..nn import Sample
 from ..slicing.gadget import CodeGadget, classic_gadget
@@ -149,15 +151,15 @@ def _extract_case(case: TestCase, config: _ExtractConfig,
     hang past its wall-clock budget, and none of those may take the
     run (or the worker's siblings) down with it.
 
-    With a :class:`~repro.core.cache.FunctionGadgetCache` the case is
-    analyzed *lazily* and criteria are served per function: a
-    function whose call-graph component digest is unchanged since the
-    last run reuses its cached gadget list without building a single
-    PDG, so a warm re-scan of a large file pays only for its edited
-    neighbourhood.  Criteria arrive globally sorted by
-    ``(function, line, category, token)`` — function groups are
-    contiguous, so concatenating per-function lists (cached or fresh)
-    reproduces the eager gadget order byte for byte.
+    Criteria are handled per function.  With a
+    :class:`~repro.core.cache.FunctionGadgetCache`, a function whose
+    call-graph component digest is unchanged since the last run reuses
+    its cached gadget list without building a single PDG (analysis
+    builds PDGs on demand), so a warm re-scan of a large file pays
+    only for its edited neighbourhood.  Criteria arrive globally
+    sorted by ``(function, line, category, token)`` — function groups
+    are contiguous, so concatenating per-function lists (cached or
+    fresh) reproduces the cache-free gadget order byte for byte.
     """
     local = Telemetry()
     gadgets: list[LabeledGadget] = []
@@ -165,49 +167,38 @@ def _extract_case(case: TestCase, config: _ExtractConfig,
     try:
         with time_limit(config.case_timeout):
             faults.fire("case", case.name)
-            incremental = fn_cache is not None and not config.keep_gadget
             with local.stage("analyze"):
-                program = analyze(case.source, path=case.name,
-                                  lazy=incremental)
+                program = analyze(case.source, path=case.name)
             manifest = case.manifest()
             criteria = find_special_tokens(program, config.wanted)
-            if not incremental:
-                for criterion in criteria:
-                    labeled = _criterion_gadget(program, criterion,
-                                                manifest, case, config,
-                                                local)
-                    if labeled is not None:
-                        gadgets.append(labeled)
-            else:
+            if config.keep_gadget:
+                fn_cache = None  # cached records drop the raw gadgets
+            if fn_cache is not None:
                 digests = component_digests(
                     function_fingerprints(case.source),
-                    ast_call_edges(program.unit))
-                groups: list[tuple[str, list]] = []
-                for criterion in criteria:
-                    if groups and groups[-1][0] == criterion.function:
-                        groups[-1][1].append(criterion)
-                    else:
-                        groups.append((criterion.function, [criterion]))
+                    program.call_graph.edges)
                 token = config.cache_token()
-                for fn_name, fn_criteria in groups:
+            for fn_name, fn_criteria in groupby(
+                    criteria, key=attrgetter("function")):
+                if fn_cache is not None:
                     key = fn_cache.key_for_function(
-                        case, fn_name, token,
-                        digests.get(fn_name, ""))
+                        case, fn_name, token, digests.get(fn_name, ""))
                     hit = fn_cache.get_function(key, case.name)
                     if hit is not None:
                         local.count("fn_cache_hits")
                         gadgets.extend(hit)
                         continue
                     local.count("fn_cache_misses")
-                    fresh: list[LabeledGadget] = []
-                    for criterion in fn_criteria:
-                        labeled = _criterion_gadget(program, criterion,
-                                                    manifest, case,
-                                                    config, local)
-                        if labeled is not None:
-                            fresh.append(labeled)
+                fresh: list[LabeledGadget] = []
+                for criterion in fn_criteria:
+                    labeled = _criterion_gadget(program, criterion,
+                                                manifest, case, config,
+                                                local)
+                    if labeled is not None:
+                        fresh.append(labeled)
+                if fn_cache is not None:
                     fn_cache.put_function(key, fresh)
-                    gadgets.extend(fresh)
+                gadgets.extend(fresh)
     except ParseError as error:
         failure = CaseFailure(case.name, "parse-error", str(error))
     except CaseTimeout:

@@ -1,8 +1,9 @@
 """Call graph and the whole-program analysis facade.
 
 :class:`AnalyzedProgram` is the single entry point the slicing layer
-uses: parse once, build every function's PDG, and expose the call graph
-for interprocedural slice assembly (paper Algorithm 1, lines 32-36).
+uses: parse once, build each function's PDG when a slice first reaches
+it, and expose the call graph for interprocedural slice assembly
+(paper Algorithm 1, lines 32-36).
 """
 
 from __future__ import annotations
@@ -10,16 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-import networkx as nx
-
 from . import ast_nodes as A
 from .cfg import CFGNode
 from .parser import parse
 from .pdg import PDG, build_pdg
 from .source import SourceFile
 
-__all__ = ["CallSite", "CallGraph", "LazyCallGraph", "AnalyzedProgram",
-           "analyze", "ast_call_edges"]
+__all__ = ["CallSite", "CallGraph", "AnalyzedProgram", "analyze",
+           "ast_call_edges"]
 
 
 def ast_call_edges(unit: A.TranslationUnit) -> dict[str, list[str]]:
@@ -27,7 +26,7 @@ def ast_call_edges(unit: A.TranslationUnit) -> dict[str, list[str]]:
 
     The CFG (and therefore the PDG) is derived from the AST, so every
     PDG-visible call site corresponds to an AST ``Call`` node: this
-    edge set is a *superset* of the analyzed call graph's edges.  That
+    edge set is a *superset* of the PDG-visible calls.  That
     makes it safe for invalidation/reachability questions (it can only
     over-approximate) and cheap enough to compute without building a
     single PDG — the property the incremental-scanning fingerprint
@@ -55,68 +54,6 @@ class CallSite:
     callee: str
     node_id: int  # CFG node id inside the caller
     line: int
-
-
-class CallGraph:
-    """Static call graph over function names defined in one program."""
-
-    def __init__(self) -> None:
-        self.graph = nx.DiGraph()
-        self.sites: list[CallSite] = []
-
-    def add_function(self, name: str) -> None:
-        self.graph.add_node(name)
-
-    def add_call(self, site: CallSite) -> None:
-        self.sites.append(site)
-        self.graph.add_edge(site.caller, site.callee)
-
-    def callees(self, name: str) -> set[str]:
-        return set(self.graph.successors(name)) if name in self.graph else set()
-
-    def callers(self, name: str) -> set[str]:
-        return set(self.graph.predecessors(name)) if name in self.graph \
-            else set()
-
-    def sites_in(self, caller: str) -> list[CallSite]:
-        return [s for s in self.sites if s.caller == caller]
-
-    def sites_calling(self, callee: str) -> list[CallSite]:
-        return [s for s in self.sites if s.callee == callee]
-
-    def sites_among(self, names: Iterable[str]) -> list[CallSite]:
-        """Call sites whose caller *and* callee are both in ``names``.
-
-        The gadget assembler orders a slice's functions from exactly
-        these edges; routing it through here (instead of iterating
-        :attr:`sites` directly) lets a :class:`LazyCallGraph` answer
-        without materializing sites for unrelated functions.
-        """
-        wanted = set(names)
-        return [s for s in self.sites
-                if s.caller in wanted and s.callee in wanted]
-
-    def calls(self, caller: str, callee: str) -> bool:
-        return self.graph.has_edge(caller, callee)
-
-    def transitive_callers(self, names: Iterable[str],
-                           depth: int) -> set[str]:
-        """``names`` plus every function reaching one of them through
-        at most ``depth`` call edges — the invalidation frontier of an
-        edit to ``names`` (an edited callee can change any bounded
-        caller's interprocedural slice)."""
-        result = {n for n in names if n in self.graph}
-        frontier = set(result)
-        for _ in range(max(0, depth)):
-            grown: set[str] = set()
-            for name in frontier:
-                grown |= self.callers(name)
-            grown -= result
-            if not grown:
-                break
-            result |= grown
-            frontier = grown
-        return result
 
 
 class _LazyPDGMap:
@@ -149,86 +86,98 @@ class _LazyPDGMap:
     def __len__(self) -> int:
         return len(self._defs)
 
-    def built_names(self) -> list[str]:
-        """Functions whose PDG has been materialized (diagnostics)."""
-        return sorted(self._built)
 
+class CallGraph:
+    """Static call graph over the functions defined in one program.
 
-class LazyCallGraph(CallGraph):
-    """Call graph whose :class:`CallSite` lists materialize on demand.
-
-    Edges (``callers`` / ``callees`` / ``calls`` / reachability) come
-    from :func:`ast_call_edges` at construction time — a safe superset
-    of the PDG-derived edges, built without any PDG.  Site queries
-    (``sites_in`` / ``sites_calling`` / ``sites_among``) materialize
-    the PDG-derived sites per caller, in the same per-caller blocks
-    and within-caller order the eager :func:`analyze` produces, so a
-    slice computed against a lazy graph visits functions in exactly
-    the eager order — the byte-parity property the incremental
-    extraction path pins.
+    Edges (``callers`` / ``callees`` / ``calls``) are
+    :func:`ast_call_edges` — a safe superset of the PDG-visible calls,
+    built without any PDG.  Site queries (``sites_in`` /
+    ``sites_calling`` / ``sites_among``) build each caller's
+    :class:`CallSite` list from its PDG on first use: callers in
+    source order, and within one caller in ``PDG.calls_made`` order,
+    so a slice visits functions in one fixed order.
     """
 
     def __init__(self, unit: A.TranslationUnit, pdgs: _LazyPDGMap):
-        super().__init__()
-        self._order = [fn.name for fn in unit.functions]
-        self._defined = set(self._order)
+        self.edges = ast_call_edges(unit)
         self._pdgs = pdgs
-        self._site_cache: dict[str, list[CallSite]] = {}
-        for name in self._order:
-            self.add_function(name)
-        for caller, callees in ast_call_edges(unit).items():
+        self._sites: dict[str, list[CallSite]] = {}
+        self._callers: dict[str, set[str]] = {n: set() for n in self.edges}
+        for caller, callees in self.edges.items():
             for callee in callees:
-                self.graph.add_edge(caller, callee)
+                self._callers[callee].add(caller)
+
+    def callees(self, name: str) -> set[str]:
+        return set(self.edges.get(name, ()))
+
+    def callers(self, name: str) -> set[str]:
+        return set(self._callers.get(name, ()))
+
+    def calls(self, caller: str, callee: str) -> bool:
+        return callee in self.edges.get(caller, ())
 
     def _sites_of(self, caller: str) -> list[CallSite]:
-        cached = self._site_cache.get(caller)
-        if cached is None:
-            pdg = self._pdgs[caller]
-            cached = [CallSite(caller, callee, node.id, node.line)
-                      for callee, nodes in pdg.calls_made().items()
-                      if callee in self._defined
-                      for node in nodes]
-            self._site_cache[caller] = cached
-        return cached
+        sites = self._sites.get(caller)
+        if sites is None:
+            sites = [CallSite(caller, callee, node.id, node.line)
+                     for callee, nodes
+                     in self._pdgs[caller].calls_made().items()
+                     if callee in self.edges
+                     for node in nodes]
+            self._sites[caller] = sites
+        return sites
 
     def sites_in(self, caller: str) -> list[CallSite]:
-        if caller not in self._defined:
+        if caller not in self.edges:
             return []
         return list(self._sites_of(caller))
 
     def sites_calling(self, callee: str) -> list[CallSite]:
-        out: list[CallSite] = []
-        for caller in self._order:
-            # AST edges over-approximate, so this only ever *builds*
-            # a PDG the eager path would have consulted anyway; a
-            # false edge just yields no matching sites below.
-            if self.graph.has_edge(caller, callee):
-                out.extend(s for s in self._sites_of(caller)
-                           if s.callee == callee)
-        return out
+        # AST edges over-approximate, so a false edge only builds a
+        # PDG that then yields no matching site
+        return [site for caller, callees in self.edges.items()
+                if callee in callees
+                for site in self._sites_of(caller)
+                if site.callee == callee]
 
     def sites_among(self, names: Iterable[str]) -> list[CallSite]:
+        """Call sites whose caller *and* callee are both in ``names``.
+
+        Only callers with an edge into ``names`` build their sites, so
+        ordering a slice's functions never touches unrelated PDGs.
+        """
         wanted = set(names)
-        out: list[CallSite] = []
-        for caller in self._order:
-            if caller not in wanted:
-                continue
-            if not any(callee in wanted
-                       for callee in self.graph.successors(caller)):
-                continue
-            out.extend(s for s in self._sites_of(caller)
-                       if s.callee in wanted)
-        return out
+        return [site for caller, callees in self.edges.items()
+                if caller in wanted and not wanted.isdisjoint(callees)
+                for site in self._sites_of(caller)
+                if site.callee in wanted]
 
 
 @dataclass
 class AnalyzedProgram:
-    """Parsed + analyzed program: AST, per-function PDGs, call graph."""
+    """Parsed program: AST, per-function PDGs, call graph.
+
+    Only the parse happens up front.  Each function's PDG is built on
+    first access (``program.pdgs[...]`` / :meth:`pdg`) and the call
+    graph builds its sites per caller on demand, so slicing a file pays
+    only for the functions its slices reach.
+    """
 
     source: SourceFile
     unit: A.TranslationUnit
-    pdgs: dict[str, PDG] = field(default_factory=dict)
-    call_graph: CallGraph = field(default_factory=CallGraph)
+    pdgs: _LazyPDGMap = field(init=False)
+    call_graph: CallGraph = field(init=False)
+    # per-function control ranges and the file's brace pairs,
+    # memoized by repro.slicing.path_sensitive.extract_control_ranges
+    _control_range_cache: dict = field(default_factory=dict, init=False,
+                                       repr=False)
+    _brace_pairs: list[tuple[int, int]] | None = field(
+        default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.pdgs = _LazyPDGMap(self.unit)
+        self.call_graph = CallGraph(self.unit, self.pdgs)
 
     @property
     def function_names(self) -> list[str]:
@@ -275,37 +224,6 @@ class AnalyzedProgram:
         return self.source.line(line).strip()
 
 
-def analyze(source_text: str, path: str = "<memory>", *,
-            lazy: bool = False) -> AnalyzedProgram:
-    """Parse and fully analyze C source text.
-
-    Builds a PDG per function and the call graph between functions that
-    are defined in the same translation unit.
-
-    With ``lazy=True`` only the parse happens up front: PDGs build on
-    first access (via ``program.pdgs[...]`` / ``program.pdg``) and the
-    call graph materializes its sites per caller on demand, in eager
-    order.  Slices computed either way are identical; lazy analysis
-    is what lets an incremental re-scan of a large file pay only for
-    its invalidated neighbourhood.
-    """
-    unit = parse(source_text)
-    if lazy:
-        pdgs = _LazyPDGMap(unit)
-        return AnalyzedProgram(SourceFile(path, source_text), unit,
-                               pdgs=pdgs,
-                               call_graph=LazyCallGraph(unit, pdgs))
-    program = AnalyzedProgram(SourceFile(path, source_text), unit)
-    defined = {f.name for f in unit.functions}
-    for fn in unit.functions:
-        pdg = build_pdg(fn)
-        program.pdgs[fn.name] = pdg
-        program.call_graph.add_function(fn.name)
-    for fn in unit.functions:
-        pdg = program.pdgs[fn.name]
-        for callee, nodes in pdg.calls_made().items():
-            if callee in defined:
-                for node in nodes:
-                    program.call_graph.add_call(
-                        CallSite(fn.name, callee, node.id, node.line))
-    return program
+def analyze(source_text: str, path: str = "<memory>") -> AnalyzedProgram:
+    """Parse C source text; PDGs and call sites follow on demand."""
+    return AnalyzedProgram(SourceFile(path, source_text), parse(source_text))

@@ -12,8 +12,6 @@ tree path from *b* up to (excluding) ipostdom(a) is control dependent on
 
 from __future__ import annotations
 
-import networkx as nx
-
 from .cfg import CFG, CFGNode
 
 __all__ = [
@@ -23,12 +21,56 @@ __all__ = [
 ]
 
 
-def _to_networkx(cfg: CFG) -> nx.DiGraph:
-    graph = nx.DiGraph()
-    graph.add_nodes_from(cfg.nodes)
-    for edge in cfg.edges:
-        graph.add_edge(edge.src, edge.dst)
-    return graph
+def _immediate_dominators(succ: dict[int, list[int]],
+                          root: int) -> dict[int, int]:
+    """Cooper, Harvey & Kennedy's iterative dominator algorithm.
+
+    ``succ`` maps every node id to its successor ids.  Returns the
+    immediate dominator of every node reachable from ``root``, with
+    the root mapped to itself.
+    """
+    postorder: list[int] = []
+    seen = {root}
+    stack = [(root, iter(succ[root]))]
+    while stack:
+        node, children = stack[-1]
+        for child in children:
+            if child not in seen:
+                seen.add(child)
+                stack.append((child, iter(succ[child])))
+                break
+        else:
+            stack.pop()
+            postorder.append(node)
+    rank = {node: index for index, node in enumerate(postorder)}
+    preds: dict[int, list[int]] = {node: [] for node in postorder}
+    for node in postorder:
+        for child in succ[node]:
+            preds[child].append(node)
+
+    idom = {root: root}
+
+    def intersect(a: int, b: int) -> int:
+        while a != b:
+            while rank[a] < rank[b]:
+                a = idom[a]
+            while rank[b] < rank[a]:
+                b = idom[b]
+        return a
+
+    changed = True
+    while changed:
+        changed = False
+        for node in reversed(postorder[:-1]):  # reverse postorder
+            new_idom = None
+            for pred in preds[node]:
+                if pred in idom:
+                    new_idom = (pred if new_idom is None
+                                else intersect(pred, new_idom))
+            if idom.get(node) != new_idom:
+                idom[node] = new_idom
+                changed = True
+    return idom
 
 
 def dominator_tree(cfg: CFG) -> dict[int, int]:
@@ -36,10 +78,10 @@ def dominator_tree(cfg: CFG) -> dict[int, int]:
 
     Nodes unreachable from entry are absent from the result.
     """
-    graph = _to_networkx(cfg)
-    idom = dict(nx.immediate_dominators(graph, cfg.entry.id))
-    idom[cfg.entry.id] = cfg.entry.id  # some nx versions omit the root
-    return idom
+    succ: dict[int, list[int]] = {node_id: [] for node_id in cfg.nodes}
+    for edge in cfg.edges:
+        succ[edge.src].append(edge.dst)
+    return _immediate_dominators(succ, cfg.entry.id)
 
 
 def post_dominator_tree(cfg: CFG) -> dict[int, int]:
@@ -51,15 +93,21 @@ def post_dominator_tree(cfg: CFG) -> dict[int, int]:
     every node receives a post-dominator — matching how practical PDG
     builders (and Joern) handle non-terminating paths.
     """
-    graph = _to_networkx(cfg).reverse(copy=True)
-    reachable = set(nx.descendants(graph, cfg.exit.id)) | {cfg.exit.id}
-    for node_id in cfg.nodes:
-        if node_id not in reachable:
-            # Auxiliary edge: pretend the stuck node can reach exit.
-            graph.add_edge(cfg.exit.id, node_id)
-    ipdom = dict(nx.immediate_dominators(graph, cfg.exit.id))
-    ipdom[cfg.exit.id] = cfg.exit.id  # some nx versions omit the root
-    return ipdom
+    reverse: dict[int, list[int]] = {node_id: [] for node_id in cfg.nodes}
+    for edge in cfg.edges:
+        reverse[edge.dst].append(edge.src)
+    exit_id = cfg.exit.id
+    reachable = {exit_id}
+    stack = [exit_id]
+    while stack:
+        for pred in reverse[stack.pop()]:
+            if pred not in reachable:
+                reachable.add(pred)
+                stack.append(pred)
+    # Auxiliary edges: pretend each stuck node can reach exit.
+    reverse[exit_id].extend(node_id for node_id in cfg.nodes
+                            if node_id not in reachable)
+    return _immediate_dominators(reverse, exit_id)
 
 
 def control_dependences(cfg: CFG) -> list[tuple[CFGNode, CFGNode, str]]:

@@ -8,8 +8,6 @@ A :class:`PDG` combines the labelled control-dependence edges from
 
 from __future__ import annotations
 
-import networkx as nx
-
 from .cfg import CFG, CFGNode, build_cfg
 from .dataflow import DefUse, collect_def_use, data_dependences
 from .dominance import control_dependences
@@ -17,30 +15,34 @@ from . import ast_nodes as A
 
 __all__ = ["PDG", "build_pdg"]
 
+_KINDS = ("data", "control")
+
 
 class PDG:
     """Dependence graph of a single function.
 
-    Nodes are CFG node ids; edges carry ``kind`` (``"data"`` or
-    ``"control"``) plus ``var`` (data) or ``branch`` (control) labels.
+    Nodes are CFG node ids.  :attr:`edges` lists ``(src, dst, kind,
+    label)`` with ``kind`` ``"data"`` (labelled by the variable) or
+    ``"control"`` (labelled by the branch); per-kind successor and
+    predecessor maps serve the slicing closures.
     """
 
     def __init__(self, cfg: CFG, def_use: dict[int, DefUse]):
         self.cfg = cfg
         self.def_use = def_use
-        self.graph = nx.MultiDiGraph()
-        self.graph.add_nodes_from(cfg.nodes)
+        self.edges: list[tuple[int, int, str, str]] = []
+        self.succ: dict[str, dict[int, list[int]]] = {k: {} for k in _KINDS}
+        self.pred: dict[str, dict[int, list[int]]] = {k: {} for k in _KINDS}
 
     @property
     def function_name(self) -> str:
         return self.cfg.function.name
 
-    def add_data_edge(self, src: CFGNode, dst: CFGNode, var: str) -> None:
-        self.graph.add_edge(src.id, dst.id, kind="data", var=var)
-
-    def add_control_edge(self, src: CFGNode, dst: CFGNode,
-                         branch: str) -> None:
-        self.graph.add_edge(src.id, dst.id, kind="control", branch=branch)
+    def add_edge(self, src: CFGNode, dst: CFGNode, kind: str,
+                 label: str) -> None:
+        self.edges.append((src.id, dst.id, kind, label))
+        self.succ[kind].setdefault(src.id, []).append(dst.id)
+        self.pred[kind].setdefault(dst.id, []).append(src.id)
 
     def node(self, node_id: int) -> CFGNode:
         return self.cfg.nodes[node_id]
@@ -50,60 +52,42 @@ class PDG:
         return [n for n in self.cfg.statement_nodes() if n.line == line]
 
     def data_edges(self) -> list[tuple[int, int, str]]:
-        return [
-            (u, v, attrs.get("var", ""))
-            for u, v, attrs in self.graph.edges(data=True)
-            if attrs["kind"] == "data"
-        ]
+        return [(u, v, var) for u, v, kind, var in self.edges
+                if kind == "data"]
 
     def control_edges(self) -> list[tuple[int, int, str]]:
-        return [
-            (u, v, attrs.get("branch", ""))
-            for u, v, attrs in self.graph.edges(data=True)
-            if attrs["kind"] == "control"
-        ]
+        return [(u, v, branch) for u, v, kind, branch in self.edges
+                if kind == "control"]
 
     def backward_closure(self, start_ids: set[int], *,
                          data: bool = True,
                          control: bool = True) -> set[int]:
         """Node ids reachable *backwards* from ``start_ids``."""
-        return self._closure(start_ids, forward=False, data=data,
+        return self._closure(start_ids, self.pred, data=data,
                              control=control)
 
     def forward_closure(self, start_ids: set[int], *,
                         data: bool = True,
                         control: bool = True) -> set[int]:
         """Node ids reachable *forwards* from ``start_ids``."""
-        return self._closure(start_ids, forward=True, data=data,
+        return self._closure(start_ids, self.succ, data=data,
                              control=control)
 
-    def _closure(self, start_ids: set[int], *, forward: bool, data: bool,
-                 control: bool) -> set[int]:
-        kinds = set()
-        if data:
-            kinds.add("data")
-        if control:
-            kinds.add("control")
+    @staticmethod
+    def _closure(start_ids: set[int],
+                 adjacency: dict[str, dict[int, list[int]]], *,
+                 data: bool, control: bool) -> set[int]:
+        maps = [adjacency[kind] for kind, wanted
+                in zip(_KINDS, (data, control)) if wanted]
         visited = set(start_ids)
         stack = list(start_ids)
         while stack:
             current = stack.pop()
-            if forward:
-                neighbours = (
-                    v for _, v, attrs in
-                    self.graph.out_edges(current, data=True)
-                    if attrs["kind"] in kinds
-                )
-            else:
-                neighbours = (
-                    u for u, _, attrs in
-                    self.graph.in_edges(current, data=True)
-                    if attrs["kind"] in kinds
-                )
-            for nb in neighbours:
-                if nb not in visited:
-                    visited.add(nb)
-                    stack.append(nb)
+            for neighbours in maps:
+                for nb in neighbours.get(current, ()):
+                    if nb not in visited:
+                        visited.add(nb)
+                        stack.append(nb)
         return visited
 
     def calls_made(self) -> dict[str, list[CFGNode]]:
@@ -121,7 +105,7 @@ def build_pdg(function: A.FunctionDef) -> PDG:
     def_use = collect_def_use(cfg)
     pdg = PDG(cfg, def_use)
     for src, dst, var in data_dependences(cfg, def_use):
-        pdg.add_data_edge(src, dst, var)
+        pdg.add_edge(src, dst, "data", var)
     for controller, dependent, branch in control_dependences(cfg):
-        pdg.add_control_edge(controller, dependent, branch)
+        pdg.add_edge(controller, dependent, "control", branch)
     return pdg

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from ..lang.callgraph import AnalyzedProgram
 from .slicer import Slice, compute_slice
 from .special_tokens import SlicingCriterion
@@ -70,24 +68,38 @@ def order_functions(program: AnalyzedProgram,
                     function_names: list[str]) -> list[str]:
     """Order slice functions caller-before-callee (paper Step III).
 
-    Functions unreachable from each other keep their source order.
-    Cycles (recursion) fall back to source order within the cycle.
+    Functions unreachable from each other keep their source order.  A
+    call cycle (recursion) among them falls back to plain source order.
     """
     wanted = set(function_names)
-    graph = nx.DiGraph()
-    graph.add_nodes_from(wanted)
+    callees: dict[str, set[str]] = {name: set() for name in wanted}
     for site in program.call_graph.sites_among(wanted):
-        graph.add_edge(site.caller, site.callee)
+        callees[site.caller].add(site.callee)
+    indegree = dict.fromkeys(wanted, 0)
+    for targets in callees.values():
+        for callee in targets:
+            indegree[callee] += 1
     source_order = {fn.name: index
                     for index, fn in enumerate(program.unit.functions)}
-    try:
-        layers = list(nx.topological_generations(graph))
-    except nx.NetworkXUnfeasible:
-        return sorted(wanted, key=lambda n: source_order.get(n, 1 << 30))
+
+    def rank(name: str) -> int:
+        return source_order.get(name, 1 << 30)
+
+    # Kahn's algorithm, one layer (topological generation) at a time
     ordered: list[str] = []
-    for layer in layers:
-        ordered.extend(sorted(layer,
-                              key=lambda n: source_order.get(n, 1 << 30)))
+    layer = [name for name in wanted if not indegree[name]]
+    while layer:
+        layer.sort(key=rank)
+        ordered.extend(layer)
+        successors: list[str] = []
+        for name in layer:
+            for callee in callees[name]:
+                indegree[callee] -= 1
+                if not indegree[callee]:
+                    successors.append(callee)
+        layer = successors
+    if len(ordered) < len(wanted):  # a cycle left some never free
+        return sorted(wanted, key=rank)
     return ordered
 
 

@@ -212,20 +212,16 @@ def extract_control_ranges(program: AnalyzedProgram,
     the brace pairs and each function's collected ranges are cached on
     the instance (callers must not mutate the returned list).
     """
-    cache = getattr(program, "_control_range_cache", None)
-    if cache is None:
-        cache = {}
-        program._control_range_cache = cache
+    cache = program._control_range_cache
     if function not in cache:
         fn = program.unit.function(function)
         if fn is None:
             cache[function] = []
         else:
-            braces = getattr(program, "_brace_pairs", None)
-            if braces is None:
-                braces = brace_ranges(program.source.lines)
-                program._brace_pairs = braces
-            cache[function] = _RangeCollector(fn, braces).collect()
+            if program._brace_pairs is None:
+                program._brace_pairs = brace_ranges(program.source.lines)
+            cache[function] = _RangeCollector(
+                fn, program._brace_pairs).collect()
     return cache[function]
 
 

@@ -13,6 +13,7 @@ import random
 
 from repro.core.fingerprint import lexer_function_spans
 from repro.lang.callgraph import analyze
+from repro.lang.pdg import build_pdg
 
 BOUNDARY_SOURCE = """\
 int first(int n) {
@@ -99,26 +100,20 @@ class TestSharedBoundaryLine:
         assert program.functions_of_line(99) == []
 
 
-class TestLazyEagerEquivalence:
-    def test_lazy_attribution_matches_eager(self):
-        rng = random.Random(4242)
-        for _ in range(10):
-            source = _random_program(rng)
-            eager = analyze(source)
-            lazy = analyze(source, lazy=True)
-            total_lines = source.count("\n") + 1
-            for line in range(1, total_lines + 1):
-                assert lazy.functions_of_line(line) == \
-                    eager.functions_of_line(line)
-
-    def test_lazy_call_graph_matches_eager(self):
+class TestCallGraphEdges:
+    def test_edges_match_pdg_calls(self):
+        """The AST-derived call graph agrees with the calls its PDGs see."""
         rng = random.Random(2424)
         for _ in range(10):
             source = _random_program(rng)
-            eager = analyze(source)
-            lazy = analyze(source, lazy=True)
-            for fn in eager.unit.functions:
-                assert sorted(lazy.call_graph.callees(fn.name)) == \
-                    sorted(eager.call_graph.callees(fn.name))
-                assert sorted(lazy.call_graph.callers(fn.name)) == \
-                    sorted(eager.call_graph.callers(fn.name))
+            program = analyze(source)
+            defined = set(program.function_names)
+            callees = {fn.name: {callee for callee
+                                 in build_pdg(fn).calls_made()
+                                 if callee in defined}
+                       for fn in program.unit.functions}
+            for name in defined:
+                callers = {caller for caller, targets in callees.items()
+                           if name in targets}
+                assert program.call_graph.callees(name) == callees[name]
+                assert program.call_graph.callers(name) == callers

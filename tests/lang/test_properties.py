@@ -7,10 +7,45 @@ from hypothesis import strategies as st
 
 from repro.lang.cfg import build_cfg
 from repro.lang.dataflow import collect_def_use, reaching_definitions
-from repro.lang.dominance import post_dominator_tree
+from repro.lang.dominance import dominator_tree, post_dominator_tree
 from repro.lang.lexer import TokenKind, tokenize
 from repro.lang.parser import ParseError, parse
 from repro.lang.source import strip_preprocessor
+
+# -- reference dominators -----------------------------------------------------
+
+
+def dataflow_idoms(succ, root):
+    """Immediate dominators from the set-based definition.
+
+    Dom(root) = {root}; Dom(n) = {n} | the intersection of Dom(p) over
+    n's reachable predecessors p, iterated to a fixpoint.  idom(n) is
+    the strict dominator of n that every other strict dominator
+    dominates, i.e. the one whose own Dom set is largest.
+    """
+    reachable = {root}
+    stack = [root]
+    while stack:
+        for nxt in succ[stack.pop()]:
+            if nxt not in reachable:
+                reachable.add(nxt)
+                stack.append(nxt)
+    preds = {n: [p for p in reachable if n in succ[p]] for n in reachable}
+    dom = {n: set(reachable) for n in reachable}
+    dom[root] = {root}
+    changed = True
+    while changed:
+        changed = False
+        for n in reachable - {root}:
+            new = {n} | set.intersection(*(dom[p] for p in preds[n]))
+            if new != dom[n]:
+                dom[n] = new
+                changed = True
+    idom = {root: root}
+    for n in reachable - {root}:
+        idom[n] = max(dom[n] - {n}, key=lambda d: len(dom[d]))
+    return idom
+
 
 # -- random-source strategies -------------------------------------------------
 
@@ -100,6 +135,22 @@ class TestParserProperties:
         cfg = build_cfg(unit.functions[0])
         ipdom = post_dominator_tree(cfg)
         assert set(ipdom) >= set(cfg.nodes)
+
+    @given(random_programs())
+    @settings(max_examples=40, deadline=None)
+    def test_dominators_match_dataflow_definition(self, source):
+        cfg = build_cfg(parse(source).functions[0])
+        succ = {n: [] for n in cfg.nodes}
+        reverse = {n: [] for n in cfg.nodes}
+        for edge in cfg.edges:
+            succ[edge.src].append(edge.dst)
+            reverse[edge.dst].append(edge.src)
+        assert dominator_tree(cfg) == dataflow_idoms(succ, cfg.entry.id)
+        # nodes that cannot reach exit hang off it by an auxiliary edge
+        stuck = set(cfg.nodes) - set(dataflow_idoms(reverse, cfg.exit.id))
+        reverse[cfg.exit.id].extend(stuck)
+        assert post_dominator_tree(cfg) == \
+            dataflow_idoms(reverse, cfg.exit.id)
 
     @given(random_programs())
     @settings(max_examples=40, deadline=None)

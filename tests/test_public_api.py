@@ -1,8 +1,14 @@
 """Public API surface checks: the names README/docs promise exist."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 
 class TestTopLevel:
@@ -53,3 +59,40 @@ class TestTopLevel:
         for command in ("train", "scan", "fuzz", "gadgets",
                         "export-corpus"):
             assert command in text
+
+
+_FRONTEND_SCRIPT = """
+import sys
+
+before = {name.split(".")[0] for name in sys.modules}
+import repro.core.serve
+from repro.lang import analyze
+from repro.slicing.path_sensitive import path_sensitive_gadget
+from repro.slicing.special_tokens import find_special_tokens
+
+program = analyze(
+    "void f(char *s) { char b[4]; if (s) { strcpy(b, s); } }\\n"
+    "int main(int argc, char **argv) { f(argv[1]); return 0; }\\n")
+gadgets = [path_sensitive_gadget(program, criterion)
+           for criterion in find_special_tokens(program)]
+assert any(gadget.lines for gadget in gadgets)
+loaded = {name.split(".")[0] for name in sys.modules} - before
+print(" ".join(sorted(name for name in loaded
+                      if name not in sys.stdlib_module_names
+                      and not name.startswith("__")
+                      and name not in ("numpy", "repro"))))
+"""
+
+
+def test_frontend_loads_no_third_party_module_but_numpy():
+    """Importing the scan service and slicing one program pull in no
+    installed package besides numpy (the graph layer is plain dicts)."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", _FRONTEND_SCRIPT],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""
