@@ -32,18 +32,6 @@ class FunctionFingerprint:
     digest: str
 
 
-def _function_spans(source: str) -> list[tuple[str, int, int]]:
-    """(name, start_line, end_line) of each function definition."""
-    try:
-        program = analyze(source)
-    except ParseError:
-        return []
-    spans = []
-    for fn in program.unit.functions:
-        spans.append((fn.name, fn.line, fn.body.end_line or fn.line))
-    return spans
-
-
 def abstract_function(source: str, start: int, end: int,
                       param_names: frozenset[str],
                       local_names: frozenset[str]) -> str:

@@ -668,7 +668,6 @@ def _cmd_scan_connect(args: argparse.Namespace) -> int:
         print(f"  server: {server['scans']} scan(s), "
               f"{server['shed']} shed, {server['reloads']} "
               f"reload(s), {server['clients']} client(s), "
-              f"scorer={server['scorer']}, "
               f"health={server['health']}")
         print(f"  resilience: {server['deadline_expired']} "
               f"deadline-expired, {server['conn_drops']} "

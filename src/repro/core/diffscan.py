@@ -21,7 +21,7 @@ base tree and then the target tree through one
 rescan only the files whose stat signature moved, emit the deltas as
 JSONL.  Verdicts are byte-identical to a cold scan of the same tree —
 the caches only ever skip work, never change results (pinned by
-``tests/core/test_diffscan.py`` and gated in ``scripts/bench_diff.py``).
+``tests/core/test_diffscan.py``).
 """
 
 from __future__ import annotations

@@ -6,10 +6,9 @@ commit touching a handful of functions inside large files — and a
 whole-case key re-slices all of them.  This module provides the
 function granularity underneath :mod:`repro.core.diffscan`:
 
-* :func:`lexer_function_spans` — function spans (signature line to
-  closing brace) recovered from the raw token stream, without parsing.
 * :func:`function_fingerprints` — one sha256 per function over its
-  ``(kind, text, line)`` token triples.  Comment and whitespace edits
+  ``(kind, text, line)`` token triples, with function extents
+  recovered from the raw token stream, without parsing.  Comment and whitespace edits
   that keep token lines stable leave the fingerprint unchanged; a
   line-shifting edit invalidates every following function — correct,
   because findings carry absolute line numbers.
@@ -32,13 +31,11 @@ superset of the PDG-derived graph, computable without building a PDG.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from ..lang.lexer import Token, TokenKind, tokenize
 
 __all__ = ["FINGERPRINT_VERSION", "DEFAULT_FRONTIER_DEPTH",
-           "FunctionSpan", "lexer_function_spans",
            "function_fingerprints", "changed_functions",
            "invalidation_frontier", "weak_components",
            "component_digests"]
@@ -52,27 +49,6 @@ FINGERPRINT_VERSION = 1
 #: this (keys cover the whole call component); the bound only shapes
 #: the re-slice plan surfaced in diff reports and watch deltas.
 DEFAULT_FRONTIER_DEPTH = 3
-
-
-@dataclass(frozen=True)
-class FunctionSpan:
-    """One function's lexical extent.
-
-    ``start_line``/``start_col`` point at the first token of the
-    declaration (the return type), matching the parser's
-    ``FunctionDef.line``; ``end_line``/``end_col`` point at the
-    closing brace.  Adjacent functions may share a boundary *line*
-    but never overlap in ``(line, col)`` space.
-    """
-
-    name: str
-    start_line: int
-    start_col: int
-    end_line: int
-    end_col: int
-
-    def covers_line(self, line: int) -> bool:
-        return self.start_line <= line <= self.end_line
 
 
 def _match_forward(tokens: Sequence[Token], index: int,
@@ -148,24 +124,6 @@ def _function_token_runs(tokens: Sequence[Token]
             continue
         i += 1
     return runs
-
-
-def lexer_function_spans(source: str) -> list[FunctionSpan]:
-    """Function spans recovered from the token stream alone.
-
-    Tolerant by construction (any byte sequence lexes): unparseable
-    input yields whatever plausible spans the depth-0 scan finds,
-    never an exception.  For parseable input the spans agree with the
-    parser's ``FunctionDef.line`` / ``Block.end_line`` — the property
-    ``tests/lang`` pins against generated programs.
-    """
-    tokens = tokenize(source)
-    spans: list[FunctionSpan] = []
-    for name, first, last in _function_token_runs(tokens):
-        head, tail = tokens[first], tokens[last]
-        spans.append(FunctionSpan(name, head.line, head.col,
-                                  tail.line, tail.col))
-    return spans
 
 
 def function_fingerprints(source: str) -> dict[str, str]:

@@ -280,10 +280,6 @@ class ThreadScorer:
             self._queue.put(pending)
         return pending
 
-    def health(self) -> dict:
-        """``ok`` while accepting work, ``closed`` after :meth:`close`."""
-        return {"status": "closed" if self._closed else "ok"}
-
     def close(self) -> None:
         """Drain queued submissions, then join the workers."""
         if self._closed:
@@ -639,12 +635,7 @@ class ScanService:
     def health(self) -> dict:
         """Service health for the server's ``health`` op: ``ready``
         while serving, ``draining`` once closed."""
-        return {
-            "status": "draining" if self._closed else "ready",
-            "scorer": "thread",
-            "scorer_health": self._scorer.health(),
-            "degraded_reason": None,
-        }
+        return {"status": "draining" if self._closed else "ready"}
 
     def stats(self) -> dict:
         """Service-level scan statistics (summary + benchmarks)."""
@@ -666,9 +657,4 @@ class ScanService:
                 telemetry.observation_stats("scan_batch_fill"),
             "queue_depth":
                 telemetry.observation_stats("scan_queue_depth"),
-            "resilience": {
-                "health": self.health()["status"],
-                "scorer": "thread",
-                "degraded_reason": None,
-            },
         }

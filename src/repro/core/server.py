@@ -611,15 +611,8 @@ class ScanServer:
         with self._service_lock:
             handle = self._handle
         if self._stopping or handle is None:
-            return {"health": "draining", "scorer": "thread",
-                    "degraded_reason": None}
-        service_health = handle.service.health()
-        return {
-            "health": service_health["status"],
-            "scorer": service_health["scorer"],
-            "scorer_health": service_health["scorer_health"],
-            "degraded_reason": service_health["degraded_reason"],
-        }
+            return {"health": "draining"}
+        return {"health": handle.service.health()["status"]}
 
     def stats(self) -> dict:
         """Server- and service-level statistics (the ``stats`` op)."""
@@ -633,7 +626,6 @@ class ScanServer:
                 "address": self.address,
                 "clients": clients,
                 "queued": queued,
-                "scorer": "thread",
                 "health": self.health()["health"],
                 "config_token": (None if handle is None
                                  else handle.service.config_token),

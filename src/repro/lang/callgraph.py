@@ -31,18 +31,18 @@ def ast_call_edges(unit: A.TranslationUnit) -> dict[str, list[str]]:
     over-approximate) and cheap enough to compute without building a
     single PDG — the property the incremental-scanning fingerprint
     layer relies on.  Callee order follows AST pre-order; duplicates
-    are dropped.
+    are dropped.  A name defined more than once (``#ifdef`` variants)
+    gets the callees of every definition.
     """
     defined = {fn.name for fn in unit.functions}
     edges: dict[str, list[str]] = {}
     for fn in unit.functions:
-        seen: list[str] = []
+        seen = edges.setdefault(fn.name, [])
         for node in A.walk(fn.body):
             if isinstance(node, A.Call):
                 callee = node.callee_name
                 if callee in defined and callee not in seen:
                     seen.append(callee)
-        edges[fn.name] = seen
     return edges
 
 
@@ -64,27 +64,46 @@ class _LazyPDGMap:
     deferring ``build_pdg`` until a function is actually sliced.  A
     warm incremental re-scan only touches the invalidated
     neighbourhood, so most functions' PDGs are never built at all.
+
+    A file may define one name more than once (``#ifdef``/``#else``
+    variants: preprocessing blanks the directives and keeps every
+    body).  Item access by name sees the last definition;
+    :meth:`containing` picks the one whose span holds a given line.
     """
 
     def __init__(self, unit: A.TranslationUnit):
-        self._defs = {fn.name: fn for fn in unit.functions}
-        self._built: dict[str, PDG] = {}
+        self._variants: dict[str, list[A.FunctionDef]] = {}
+        for fn in unit.functions:
+            self._variants.setdefault(fn.name, []).append(fn)
+        self._built: dict[int, PDG] = {}
 
-    def __contains__(self, name: object) -> bool:
-        return name in self._defs
-
-    def __getitem__(self, name: str) -> PDG:
-        pdg = self._built.get(name)
+    def _build(self, fn: A.FunctionDef) -> PDG:
+        pdg = self._built.get(id(fn))
         if pdg is None:
-            pdg = build_pdg(self._defs[name])
-            self._built[name] = pdg
+            pdg = build_pdg(fn)
+            self._built[id(fn)] = pdg
         return pdg
 
+    def __contains__(self, name: object) -> bool:
+        return name in self._variants
+
+    def __getitem__(self, name: str) -> PDG:
+        return self._build(self._variants[name][-1])
+
+    def containing(self, name: str, line: int) -> PDG:
+        """PDG of the definition of ``name`` whose span holds ``line``
+        (the last definition when none does)."""
+        variants = self._variants[name]
+        for fn in variants:
+            if fn.line <= line <= (fn.body.end_line or fn.line):
+                return self._build(fn)
+        return self._build(variants[-1])
+
     def __iter__(self) -> Iterator[str]:
-        return iter(self._defs)
+        return iter(self._variants)
 
     def __len__(self) -> int:
-        return len(self._defs)
+        return len(self._variants)
 
 
 class CallGraph:
@@ -185,35 +204,6 @@ class AnalyzedProgram:
 
     def pdg(self, name: str) -> PDG:
         return self.pdgs[name]
-
-    def functions_of_line(self, line: int) -> list[str]:
-        """*All* functions whose span covers ``line``, in source order.
-
-        Function spans run from the signature line to the closing
-        brace, and adjacent functions can share a boundary line
-        (``} int next(void) {``) — a diff hunk touching that line must
-        invalidate both, which is why the incremental-scanning frontier
-        maps hunks through this (and not the single-winner
-        :meth:`function_of_line`).
-        """
-        owners: list[str] = []
-        for fn in self.unit.functions:
-            end = fn.body.end_line or fn.line
-            if fn.line <= line <= end:
-                owners.append(fn.name)
-        return owners
-
-    def function_of_line(self, line: int) -> str | None:
-        """Name of the function whose body spans ``line``.
-
-        On a boundary line shared by two functions (one's closing
-        brace, the next one's signature) the function that *starts*
-        there wins: any code on that line after the brace belongs to
-        it.  Previously the earlier function shadowed the later one,
-        which mis-attributed statements on shared lines.
-        """
-        owners = self.functions_of_line(line)
-        return owners[-1] if owners else None
 
     def node_at(self, function: str, line: int) -> CFGNode | None:
         """First statement node on ``line`` of ``function``."""

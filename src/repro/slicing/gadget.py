@@ -107,7 +107,7 @@ def assemble_classic_gadget(program: AnalyzedProgram,
                             slice_: Slice) -> CodeGadget:
     """Stack the slice's statements into a classic code gadget."""
     criterion = slice_.criterion
-    per_function = slice_.lines(program)
+    per_function = slice_.lines()
     lines: list[GadgetLine] = []
     for fn_name in order_functions(program, list(per_function)):
         for line_no in sorted(per_function[fn_name]):

@@ -212,17 +212,21 @@ def extract_control_ranges(program: AnalyzedProgram,
     the brace pairs and each function's collected ranges are cached on
     the instance (callers must not mutate the returned list).
     """
+    fn = program.unit.function(function)
+    return [] if fn is None else _function_ranges(program, fn)
+
+
+def _function_ranges(program: AnalyzedProgram,
+                     fn: A.FunctionDef) -> list[ControlRange]:
+    """Memoized control ranges of one definition (one name may have
+    several: ``#ifdef`` variants)."""
     cache = program._control_range_cache
-    if function not in cache:
-        fn = program.unit.function(function)
-        if fn is None:
-            cache[function] = []
-        else:
-            if program._brace_pairs is None:
-                program._brace_pairs = brace_ranges(program.source.lines)
-            cache[function] = _RangeCollector(
-                fn, program._brace_pairs).collect()
-    return cache[function]
+    key = (fn.name, fn.line)
+    if key not in cache:
+        if program._brace_pairs is None:
+            program._brace_pairs = brace_ranges(program.source.lines)
+        cache[key] = _RangeCollector(fn, program._brace_pairs).collect()
+    return cache[key]
 
 
 def assemble_path_sensitive_gadget(program: AnalyzedProgram,
@@ -230,11 +234,12 @@ def assemble_path_sensitive_gadget(program: AnalyzedProgram,
     """Insert crossed control ranges into the slice and order it
     (Algorithm 1 lines 19-36)."""
     criterion = slice_.criterion
-    per_function = slice_.lines(program)
+    per_function = slice_.lines()
     lines: list[GadgetLine] = []
     for fn_name in order_functions(program, list(per_function)):
         slice_lines = per_function[fn_name]
-        ranges = extract_control_ranges(program, fn_name)
+        ranges = _function_ranges(program,
+                                  slice_.pdgs[fn_name].cfg.function)
         headers: set[int] = set()
         ends: set[int] = set()
         for range_ in ranges:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..lang.callgraph import AnalyzedProgram
+from ..lang.pdg import PDG
 from .special_tokens import SlicingCriterion
 
 __all__ = ["Slice", "compute_slice"]
@@ -21,39 +22,35 @@ __all__ = ["Slice", "compute_slice"]
 
 @dataclass
 class Slice:
-    """An interprocedural slice: per-function sets of CFG node ids."""
+    """An interprocedural slice: per-function sets of CFG node ids.
+
+    ``pdgs`` holds the PDG each function's node ids index into: the
+    criterion's function is the definition that holds the criterion
+    line, which need not be the one its name looks up.
+    """
 
     criterion: SlicingCriterion
     nodes: dict[str, set[int]] = field(default_factory=dict)
+    pdgs: dict[str, PDG] = field(default_factory=dict)
 
-    def add(self, function: str, node_id: int) -> None:
-        self.nodes.setdefault(function, set()).add(node_id)
+    def add(self, function: str, pdg: PDG, node_ids) -> None:
+        """Add the statement nodes among ``node_ids`` of ``pdg``."""
+        self.pdgs[function] = pdg
+        for node_id in node_ids:
+            if pdg.node(node_id).ast is not None:
+                self.nodes.setdefault(function, set()).add(node_id)
 
     def functions(self) -> list[str]:
         return sorted(self.nodes)
 
-    def lines(self, program: AnalyzedProgram) -> dict[str, set[int]]:
+    def lines(self) -> dict[str, set[int]]:
         """Per-function source-line sets covered by the slice."""
-        result: dict[str, set[int]] = {}
-        for fn_name, ids in self.nodes.items():
-            pdg = program.pdg(fn_name)
-            lines = {
-                pdg.node(node_id).line
-                for node_id in ids
-                if pdg.node(node_id).ast is not None
-            }
-            if lines:
-                result[fn_name] = lines
-        return result
+        return {fn_name: {self.pdgs[fn_name].node(node_id).line
+                          for node_id in ids}
+                for fn_name, ids in self.nodes.items()}
 
     def total_nodes(self) -> int:
         return sum(len(ids) for ids in self.nodes.values())
-
-
-def _criterion_nodes(program: AnalyzedProgram,
-                     criterion: SlicingCriterion) -> set[int]:
-    pdg = program.pdg(criterion.function)
-    return {n.id for n in pdg.nodes_on_line(criterion.line)}
 
 
 def compute_slice(
@@ -78,12 +75,14 @@ def compute_slice(
     result = Slice(criterion)
     if criterion.function not in program.pdgs:
         return result
-    start = _criterion_nodes(program, criterion)
+    pdg = program.pdgs.containing(criterion.function, criterion.line)
+    start = {n.id for n in pdg.nodes_on_line(criterion.line)}
     if not start:
         return result
 
-    _slice_within(program, criterion.function, start, result,
-                  use_control=use_control)
+    result.add(criterion.function, pdg,
+               pdg.backward_closure(start, control=use_control)
+               | pdg.forward_closure(start, control=use_control))
 
     if not interprocedural:
         return result
@@ -106,43 +105,28 @@ def compute_slice(
                 if s.caller == site.caller
             }
             caller_pdg = program.pdg(site.caller)
-            backward = caller_pdg.backward_closure(
-                seed, control=use_control)
-            for node_id in backward:
-                if caller_pdg.node(node_id).ast is not None:
-                    result.add(site.caller, node_id)
+            result.add(site.caller, caller_pdg,
+                       caller_pdg.backward_closure(
+                           seed, control=use_control))
 
     # Forward interprocedural step: calls made *by sliced statements*
     # carry data into callees; take the callee-side forward slice from
-    # its entry (parameters).
+    # its entry (parameters).  Call sites come from the PDG the slice
+    # indexes, so the criterion's own definition is the one searched.
     sliced_functions = list(result.nodes)
     for fn_name in sliced_functions:
         if len(visited) >= max_functions:
             break
-        pdg = program.pdg(fn_name)
         sliced_ids = result.nodes[fn_name]
-        for site in program.call_graph.sites_in(fn_name):
-            if site.node_id not in sliced_ids:
-                continue
-            callee = site.callee
-            if callee in visited or callee not in program.pdgs:
+        for callee, call_nodes in \
+                result.pdgs[fn_name].calls_made().items():
+            if callee in visited or callee not in program.pdgs or \
+                    sliced_ids.isdisjoint(n.id for n in call_nodes):
                 continue
             visited.add(callee)
             callee_pdg = program.pdg(callee)
-            forward = callee_pdg.forward_closure(
-                {callee_pdg.cfg.entry.id}, control=use_control)
-            for node_id in forward:
-                if callee_pdg.node(node_id).ast is not None:
-                    result.add(callee, node_id)
+            result.add(callee, callee_pdg,
+                       callee_pdg.forward_closure(
+                           {callee_pdg.cfg.entry.id},
+                           control=use_control))
     return result
-
-
-def _slice_within(program: AnalyzedProgram, function: str,
-                  start: set[int], result: Slice, *,
-                  use_control: bool) -> None:
-    pdg = program.pdg(function)
-    backward = pdg.backward_closure(start, control=use_control)
-    forward = pdg.forward_closure(start, control=use_control)
-    for node_id in backward | forward:
-        if pdg.node(node_id).ast is not None:
-            result.add(function, node_id)

@@ -16,9 +16,10 @@ from repro.core.fingerprint import (DEFAULT_FRONTIER_DEPTH,
                                     component_digests,
                                     function_fingerprints,
                                     invalidation_frontier,
-                                    lexer_function_spans,
                                     weak_components)
+from repro.core.fingerprint import _function_token_runs
 from repro.lang.callgraph import ast_call_edges
+from repro.lang.lexer import tokenize
 from repro.lang.parser import parse
 
 SOURCE = """\
@@ -39,23 +40,21 @@ int lonely(void) {
 
 
 class TestSpans:
+    """The function extents fingerprints cover, recovered from tokens
+    (agreement with the parser: ``tests/lang/test_line_attribution``)."""
+
     def test_spans_match_parser_lines(self):
-        spans = {s.name: s for s in lexer_function_spans(SOURCE)}
+        tokens = tokenize(SOURCE)
+        spans = {name: (tokens[first].line, tokens[last].line)
+                 for name, first, last in _function_token_runs(tokens)}
         unit = parse(SOURCE)
         assert set(spans) == {f.name for f in unit.functions}
         for fn in unit.functions:
-            assert spans[fn.name].start_line == fn.line
-            assert spans[fn.name].end_line == fn.body.end_line
+            assert spans[fn.name] == (fn.line, fn.body.end_line)
 
     def test_prototypes_excluded(self):
         source = "int helper(int n);\nint used(void) { return 1; }\n"
-        names = [s.name for s in lexer_function_spans(source)]
-        assert names == ["used"]
-
-    def test_covers_line(self):
-        spans = {s.name: s for s in lexer_function_spans(SOURCE)}
-        assert spans["helper"].covers_line(2)
-        assert not spans["helper"].covers_line(7)
+        assert list(function_fingerprints(source)) == ["used"]
 
 
 class TestFingerprints:

@@ -145,7 +145,6 @@ class TestClientRetry:
                 health = client.health()
         assert health["status"] == "ok"
         assert health["health"] == "ready"
-        assert health["scorer"] == "thread"
 
     def test_deadline_expired_before_dispatch(self, detector, corpus,
                                               tmp_path):

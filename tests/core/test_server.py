@@ -191,7 +191,7 @@ class TestServerVerdicts:
         assert stats["status"] == "ok"
         assert stats["server"]["scans"] == 5
         assert stats["server"]["shed"] == 0
-        assert stats["server"]["scorer"] == "thread"
+        assert stats["server"]["health"] == "ready"
         assert stats["server"]["config_token"] == \
             detector.config_token()
         assert stats["service"]["scored_gadgets"] > 0

@@ -59,12 +59,6 @@ class TestFacade:
         program = analyze(SOURCE)
         assert set(program.pdgs) == {"helper", "middle", "main"}
 
-    def test_function_of_line(self):
-        program = analyze(SOURCE)
-        assert program.function_of_line(6) == "middle"
-        assert program.function_of_line(1) == "helper"
-        assert program.function_of_line(999) is None
-
     def test_node_at(self):
         program = analyze(SOURCE)
         node = program.node_at("middle", 6)

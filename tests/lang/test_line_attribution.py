@@ -1,27 +1,25 @@
-"""Property tests: line -> function attribution vs lexer spans.
+"""Property tests: token-derived function extents vs the parser.
 
-``AnalyzedProgram.functions_of_line`` is derived from parser nodes;
-``repro.core.fingerprint.lexer_function_spans`` re-derives the same
-spans from the raw token stream with no parser involved.  Agreement
-between the two independent derivations — on every line of every
-generated program, including shared boundary lines like
-``} int next(void) {`` — is what lets the incremental-scanning layer
-trust hunk-to-function mapping.
+``repro.core.fingerprint`` finds function extents in the raw token
+stream (no parser), while slicing works on the parser's functions.
+Fingerprints stay correct only while the two agree: every parsed
+function gets a fingerprint, and an edit inside one body moves that
+function's fingerprint and no other's — on generated programs that
+include shared boundary lines like ``} int next(void) {``.  The call
+graph's AST edges are checked against the PDGs the same way.
 """
 
 import random
+import re
 
-from repro.core.fingerprint import lexer_function_spans
+from repro.core.fingerprint import (_function_token_runs, changed_functions,
+                                    function_fingerprints)
 from repro.lang.callgraph import analyze
+from repro.lang.lexer import tokenize
 from repro.lang.pdg import build_pdg
 
-BOUNDARY_SOURCE = """\
-int first(int n) {
-    return n + 1;
-} int second(int n) {
-    return n + 2;
-}
-"""
+#: the trailing constant of a body line such as ``int v0 = 5;``
+CONSTANT = re.compile(r"(\d+);$")
 
 
 def _random_program(rng: random.Random) -> str:
@@ -59,45 +57,44 @@ class TestAgainstLexerSpans:
         rng = random.Random(1337)
         for _ in range(25):
             source = _random_program(rng)
-            program = analyze(source)
-            spans = lexer_function_spans(source)
+            tokens = tokenize(source)
+            spans = [(name, tokens[first].line, tokens[last].line)
+                     for name, first, last in _function_token_runs(tokens)]
+            functions = analyze(source).unit.functions
             total_lines = source.count("\n") + 1
             for line in range(1, total_lines + 1):
-                expected = [s.name for s in spans
-                            if s.covers_line(line)]
-                assert program.functions_of_line(line) == expected, \
-                    f"line {line} of:\n{source}"
+                expected = [name for name, start, end in spans
+                            if start <= line <= end]
+                assert [fn.name for fn in functions
+                        if fn.line <= line <= fn.body.end_line] == \
+                    expected, f"line {line} of:\n{source}"
 
-    def test_single_winner_is_last_starter(self):
-        rng = random.Random(7331)
+
+class TestFingerprintsAgainstParser:
+    def test_keys_are_the_parsers_function_names(self):
+        rng = random.Random(1337)
         for _ in range(25):
             source = _random_program(rng)
             program = analyze(source)
-            spans = lexer_function_spans(source)
-            total_lines = source.count("\n") + 1
-            for line in range(1, total_lines + 1):
-                covering = [s.name for s in spans
-                            if s.covers_line(line)]
-                expected = covering[-1] if covering else None
-                assert program.function_of_line(line) == expected
+            assert list(function_fingerprints(source)) == \
+                program.function_names, source
 
-
-class TestSharedBoundaryLine:
-    def test_both_functions_own_the_boundary(self):
-        program = analyze(BOUNDARY_SOURCE)
-        assert program.functions_of_line(3) == ["first", "second"]
-
-    def test_starter_wins_single_attribution(self):
-        # line 3 is first's closing brace AND second's signature; the
-        # code on it after the brace belongs to second
-        program = analyze(BOUNDARY_SOURCE)
-        assert program.function_of_line(3) == "second"
-
-    def test_interior_lines_unambiguous(self):
-        program = analyze(BOUNDARY_SOURCE)
-        assert program.functions_of_line(2) == ["first"]
-        assert program.functions_of_line(4) == ["second"]
-        assert program.functions_of_line(99) == []
+    def test_body_edit_changes_only_that_function(self):
+        rng = random.Random(7331)
+        for _ in range(25):
+            source = _random_program(rng)
+            lines = source.split("\n")
+            for fn in analyze(source).unit.functions:
+                # an in-place edit of the first constant in the body
+                line = next(n for n in range(fn.line + 1,
+                                             fn.body.end_line)
+                            if CONSTANT.search(lines[n - 1]))
+                edited = list(lines)
+                edited[line - 1] = CONSTANT.sub(
+                    lambda m: f"{int(m.group(1)) + 1};",
+                    lines[line - 1])
+                assert changed_functions(
+                    source, "\n".join(edited)) == {fn.name}, source
 
 
 class TestCallGraphEdges:

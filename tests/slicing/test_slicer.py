@@ -30,26 +30,26 @@ void f(char *data, int n) {
 class TestIntraprocedural:
     def test_backward_includes_definitions(self):
         program, result = slice_for(INTRA, "strncpy")
-        lines = result.lines(program)["f"]
+        lines = result.lines()["f"]
         assert {2, 4, 6} <= lines
 
     def test_guard_included_with_control(self):
         program, result = slice_for(INTRA, "strncpy", use_control=True)
-        assert 5 in result.lines(program)["f"]
+        assert 5 in result.lines()["f"]
 
     def test_guard_excluded_without_control(self):
         program, result = slice_for(INTRA, "strncpy", use_control=False)
-        assert 5 not in result.lines(program)["f"]
+        assert 5 not in result.lines()["f"]
 
     def test_unrelated_statement_excluded(self):
         program, result = slice_for(INTRA, "strncpy")
-        assert 3 not in result.lines(program)["f"]
+        assert 3 not in result.lines()["f"]
 
     def test_forward_part_includes_uses(self):
         source = ("void f(char *data) {\nint n = strlen(data);\n"
                   "int m = n + 1;\nprintf(\"%d\", m);\n}")
         program, result = slice_for(source, "strlen")
-        lines = result.lines(program)["f"]
+        lines = result.lines()["f"]
         assert {2, 3, 4} <= lines
 
     def test_total_nodes_counts(self):
@@ -86,7 +86,7 @@ class TestInterprocedural:
 
     def test_caller_lines_relevant(self):
         program, result = slice_for(INTER, "strncpy")
-        lines = result.lines(program)
+        lines = result.lines()
         assert 8 in lines["source_fn"]   # the call to sink
         assert 14 in lines["main"]       # the call to source_fn
 
@@ -113,3 +113,60 @@ class TestInterprocedural:
     def test_max_functions_cap(self):
         program, result = slice_for(INTER, "strncpy", max_functions=1)
         assert set(result.nodes) == {"sink"}
+
+
+IFDEF = """\
+#ifdef A
+void copy(char *d, char *s) {
+    strcpy(d, s);
+}
+#else
+void copy(char *d, char *s) {
+    strncpy(d, s, 8);
+}
+#endif
+"""
+
+IFDEF_CALL = """\
+int helper(char *p) {
+    return p[0];
+}
+#ifdef A
+void copy(char *d, char *s) {
+    strcpy(d, s);
+    helper(d);
+}
+#else
+void copy(char *d, char *s) {
+    strncpy(d, s, 8);
+}
+#endif
+"""
+
+
+class TestDuplicateDefinitions:
+    """``#ifdef``/``#else`` bodies of one name: each criterion slices
+    in the definition that holds its line."""
+
+    def test_first_body_criterion_is_not_dropped(self):
+        from repro.slicing.path_sensitive import path_sensitive_gadget
+
+        program = analyze(IFDEF)
+        criterion = next(c for c in find_special_tokens(program)
+                         if c.token == "strcpy")
+        gadget = path_sensitive_gadget(program, criterion)
+        assert gadget.lines
+        assert 3 in gadget.line_numbers()
+        assert all(line <= 4 for line in gadget.line_numbers())
+
+    def test_each_body_keeps_its_own_lines(self):
+        _, first = slice_for(IFDEF, "strcpy")
+        _, second = slice_for(IFDEF, "strncpy")
+        assert first.lines() == {"copy": {3}}
+        assert second.lines() == {"copy": {7}}
+
+    def test_forward_step_follows_the_sliced_body(self):
+        program, result = slice_for(IFDEF_CALL, "strcpy")
+        assert result.lines() == {"copy": {6, 7}, "helper": {2}}
+        # the call edge of the first body is kept under the shared name
+        assert program.call_graph.callees("copy") == {"helper"}
