@@ -44,7 +44,7 @@ logger = logging.getLogger(__name__)
 #: Bump when extraction semantics change (slicing order, labeling,
 #: gadget assembly, ...) — folded into extraction cache keys so stale
 #: cached gadgets are never served across pipeline revisions.
-PIPELINE_VERSION = 3
+PIPELINE_VERSION = 4
 
 _CATEGORY_MAP = {
     "FC": TokenCategory.FUNCTION_CALL,

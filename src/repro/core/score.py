@@ -3,6 +3,9 @@
 Shared by training-time evaluation, the detector's findings path, and
 the batched scan service — all of which must agree on the padding
 contract (:data:`SCORE_MIN_LENGTH`) or scores drift between paths.
+A flexible-length model scores ragged packs (:func:`pack_rows`), and
+a row's score depends only on its own ids, so any batcher that keeps
+the contract gets bitwise the same scores.
 """
 
 from __future__ import annotations
@@ -12,11 +15,11 @@ from typing import Sequence
 import numpy as np
 
 from ..eval.metrics import Metrics, confusion_from, metrics_from
-from ..nn import (Module, Sample, bucketed_batches, get_default_dtype,
-                  no_grad, pad_or_truncate)
+from ..nn import Module, Sample, get_default_dtype, no_grad, pad_or_truncate
+from ..nn.data import PAD_ID
 
-__all__ = ["SCORE_MIN_LENGTH", "output_dtype", "predict_proba",
-           "evaluate_classifier"]
+__all__ = ["SCORE_MIN_LENGTH", "output_dtype", "pack_rows",
+           "predict_proba", "evaluate_classifier"]
 
 #: Minimum padded sample length fed to the flexible-length model: the
 #: conv kernel (3) plus SPP need a floor, and padding to it is part of
@@ -34,34 +37,49 @@ def output_dtype(model: Module) -> np.dtype:
     return get_default_dtype()
 
 
+def pack_rows(rows: Sequence[Sequence[int]]
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Token-id rows of mixed lengths -> one ragged pack: ``(B, T)``
+    ids right-padded with ``PAD_ID`` plus ``(B,)`` row lengths.
+
+    A row shorter than :data:`SCORE_MIN_LENGTH` counts as padded up to
+    it (the scoring contract), so its length is the floor.
+    """
+    lengths = np.array([max(len(row), SCORE_MIN_LENGTH) for row in rows],
+                       dtype=np.int64)
+    ids = np.full((len(rows), lengths.max(initial=SCORE_MIN_LENGTH)),
+                  PAD_ID, dtype=np.int64)
+    for out, row in zip(ids, rows):
+        out[:len(row)] = row
+    return ids, lengths
+
+
 def predict_proba(model: Module, samples: Sequence[Sample],
                   batch_size: int = 128) -> np.ndarray:
     """Sigmoid scores per sample (order-preserving).
 
-    Inference runs under ``no_grad`` in large length-bucketed batches
-    (reusing :func:`bucketed_batches`, whose index channel scatters the
-    scores back into corpus order) — no per-length Python grouping, no
-    graph bookkeeping.  The accumulator is allocated in the model's
-    own output dtype (:func:`output_dtype`), so scores are no longer
-    silently up-cast to float64 per batch.
+    Inference runs under ``no_grad`` in chunks of ``batch_size``
+    samples taken in corpus order.  A flexible-length model scores
+    each chunk as one ragged pack, whatever its lengths; a
+    fixed-length model gets Definition 8's padded/truncated rows.  The
+    accumulator is allocated in the model's own output dtype
+    (:func:`output_dtype`), so scores are not up-cast per batch.
     """
     fixed = getattr(model, "fixed_length", None)
     scores = np.zeros(len(samples), dtype=output_dtype(model))
     model.eval()
     with no_grad():
-        if fixed is not None:
-            for start in range(0, len(samples), batch_size):
-                chunk = samples[start : start + batch_size]
+        for start in range(0, len(samples), batch_size):
+            chunk = samples[start : start + batch_size]
+            if fixed is not None:
                 ids = np.array(
                     [pad_or_truncate(s.token_ids, fixed) for s in chunk],
                     dtype=np.int64)
                 scores[start : start + batch_size] = \
                     model.predict_proba(ids)
-        else:
-            for ids, _, indices in bucketed_batches(
-                    samples, batch_size, min_length=SCORE_MIN_LENGTH,
-                    with_indices=True):
-                scores[indices] = model.predict_proba(ids)
+            else:
+                scores[start : start + batch_size] = model.predict_proba(
+                    *pack_rows([s.token_ids for s in chunk]))
     return scores
 
 

@@ -14,13 +14,15 @@ editor integrations):
   cases are skipped up front;
 * gadget scoring flows through a micro-batching
   :class:`ThreadScorer`: submissions from any number of cases are
-  drained from a bounded queue, grouped by padded length, and scored
-  in large batches under ``no_grad``.  Because
-  :func:`~repro.nn.data.bucketed_batches` groups by *exact* length, a
-  row's padded representation — and therefore its score — never
-  depends on which batch it lands in: verdicts are byte-identical to
-  serial :meth:`~repro.core.detector.SEVulDet.detect_case` calls
-  (pinned by ``tests/core/test_serve.py``);
+  drained from a bounded queue and scored, in drain order, as ragged
+  packs of up to ``batch_size`` rows of mixed lengths under
+  ``no_grad``.  The model's scoring kernel makes a row's score depend
+  only on its own token ids (fixed-shape product tiles, per-row
+  reductions), never on which pack it lands in, its position there or
+  its neighbours: verdicts are byte-identical to serial
+  :meth:`~repro.core.detector.SEVulDet.detect_case` calls at any
+  batch size (pinned by ``tests/core/test_serve.py`` and
+  ``tests/models/test_batch_invariance.py``);
 * whole-case verdicts are memoized in a thread-safe LRU
   (:class:`ResultCache`) keyed on the case's content fingerprint plus
   the detector's :meth:`~repro.core.detector.SEVulDet.config_token`,
@@ -47,11 +49,11 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ..datasets.manifest import TestCase
-from ..nn import no_grad, pad_or_truncate
+from ..nn import no_grad
 from ..nn.dtype import coerce_inference_dtype
 from .detector import Finding, SEVulDet
 from .extract import CaseResult, CorpusExtractor, _make_config
-from .score import SCORE_MIN_LENGTH
+from .score import pack_rows
 from .telemetry import Telemetry
 
 __all__ = ["CaseVerdict", "ResultCache", "ScanService", "ThreadScorer",
@@ -191,15 +193,15 @@ class _Pending:
     """One submitted case's rows awaiting their scores.
 
     Completion is a countdown over the case's rows: worker threads may
-    score a case's rows across several (length-grouped) batches, and
-    the waiter wakes once the last row lands.
+    score a case's rows across several packs, and the waiter wakes
+    once the last row lands.
     """
 
     __slots__ = ("rows", "scores", "error", "done", "_lock",
                  "_remaining")
 
-    def __init__(self, rows: list[list[int]]):
-        self.rows = rows  # padded token-id rows
+    def __init__(self, rows: list[Sequence[int]]):
+        self.rows = rows  # token-id rows
         self.scores = np.zeros(len(rows))
         self.error: BaseException | None = None
         self.done = threading.Event()
@@ -236,13 +238,15 @@ class ThreadScorer:
 
     Case submissions land in a bounded queue; each of ``workers``
     threads blocks for one, then greedily takes more until it holds
-    ``batch_size * 4`` rows — under load batches fill to
+    ``batch_size * 4`` rows — under load packs fill to
     ``batch_size``, under trickle traffic a lone case is scored
     immediately (no latency-vs-throughput timer to tune).  Rows from
-    all drained cases are grouped by their padded length (identical to
-    the serial scorer's bucketing, so scores are byte-identical to
-    :func:`~repro.core.score.predict_proba`) and scored in chunks of
-    ``batch_size`` under ``no_grad``.
+    all drained cases are taken in drain order and scored in ragged
+    packs (:func:`~repro.core.score.pack_rows`) of up to
+    ``batch_size`` rows of any lengths under ``no_grad``.  A row's
+    score does not depend on its pack, so scores are byte-identical to
+    :func:`~repro.core.score.predict_proba` however submissions
+    interleave.
     """
 
     def __init__(self, model, batch_size: int, workers: int,
@@ -270,10 +274,7 @@ class ThreadScorer:
         """Queue one case's token-id sequences for scoring."""
         if self._closed:
             raise RuntimeError("scorer is closed")
-        pending = _Pending([
-            pad_or_truncate(ids, max(len(ids), SCORE_MIN_LENGTH))
-            for ids in samples
-        ])
+        pending = _Pending(list(samples))
         if pending.rows:
             self.telemetry.observe("scan_queue_depth",
                                    self._queue.qsize())
@@ -311,23 +312,16 @@ class ThreadScorer:
             rows += len(extra.rows)
         return jobs
 
-    def _grouped(self, jobs: list[_Pending]
-                 ) -> Iterator[tuple[list[tuple[_Pending, int]],
-                                     np.ndarray]]:
-        """Length-group and chunk drained jobs into score batches."""
-        by_length: dict[int, list[tuple[_Pending, int]]] = {}
-        for pending in jobs:
-            for index, row in enumerate(pending.rows):
-                by_length.setdefault(len(row), []).append(
-                    (pending, index))
-        for length in sorted(by_length):
-            entries = by_length[length]
-            for start in range(0, len(entries), self.batch_size):
-                chunk = entries[start : start + self.batch_size]
-                ids = np.array(
-                    [pending.rows[index] for pending, index in chunk],
-                    dtype=np.int64)
-                yield chunk, ids
+    def _packs(self, jobs: list[_Pending]
+               ) -> Iterator[tuple[list[tuple[_Pending, int]],
+                                   tuple[np.ndarray, np.ndarray]]]:
+        """Chunk drained rows, in drain order, into ragged packs."""
+        entries = [(pending, index) for pending in jobs
+                   for index in range(len(pending.rows))]
+        for start in range(0, len(entries), self.batch_size):
+            chunk = entries[start : start + self.batch_size]
+            yield chunk, pack_rows(
+                [pending.rows[index] for pending, index in chunk])
 
     def _worker(self) -> None:
         while True:
@@ -335,9 +329,9 @@ class ThreadScorer:
             if jobs is None:
                 return
             with no_grad():
-                for chunk, ids in self._grouped(jobs):
+                for chunk, pack in self._packs(jobs):
                     try:
-                        scores = self.model.predict_proba(ids)
+                        scores = self.model.predict_proba(*pack)
                     except BaseException as error:  # surface to caller
                         for pending, _ in chunk:
                             pending._fail(error)

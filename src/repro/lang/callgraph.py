@@ -9,7 +9,7 @@ it, and expose the call graph for interprocedural slice assembly
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from . import ast_nodes as A
 from .cfg import CFGNode
@@ -111,17 +111,25 @@ class CallGraph:
 
     Edges (``callers`` / ``callees`` / ``calls``) are
     :func:`ast_call_edges` — a safe superset of the PDG-visible calls,
-    built without any PDG.  Site queries (``sites_in`` /
-    ``sites_calling`` / ``sites_among``) build each caller's
-    :class:`CallSite` list from its PDG on first use: callers in
-    source order, and within one caller in ``PDG.calls_made`` order,
-    so a slice visits functions in one fixed order.
+    built without any PDG.  Site queries (``sites_calling`` /
+    ``sites_among``) build each caller's :class:`CallSite` list from
+    its PDG on first use: callers in source order, and within one
+    caller in ``PDG.calls_made`` order, so a slice visits functions in
+    one fixed order.
+
+    A name defined more than once (``#ifdef`` variants) has one PDG per
+    definition.  Site queries take the slice's ``pdgs`` (name -> the
+    PDG the slice reads that function from; for the criterion's
+    function, the definition holding the criterion line, found by
+    :meth:`_LazyPDGMap.containing`), so sites come from the body the
+    slice holds; a name the mapping lacks reads its last definition.
     """
 
     def __init__(self, unit: A.TranslationUnit, pdgs: _LazyPDGMap):
         self.edges = ast_call_edges(unit)
         self._pdgs = pdgs
-        self._sites: dict[str, list[CallSite]] = {}
+        # keyed by PDG identity: _LazyPDGMap keeps every PDG it built
+        self._sites: dict[int, list[CallSite]] = {}
         self._callers: dict[str, set[str]] = {n: set() for n in self.edges}
         for caller, callees in self.edges.items():
             for callee in callees:
@@ -136,31 +144,33 @@ class CallGraph:
     def calls(self, caller: str, callee: str) -> bool:
         return callee in self.edges.get(caller, ())
 
-    def _sites_of(self, caller: str) -> list[CallSite]:
-        sites = self._sites.get(caller)
+    def _sites_of(self, caller: str,
+                  pdgs: Mapping[str, PDG] | None) -> list[CallSite]:
+        pdg = pdgs.get(caller) if pdgs else None
+        if pdg is None:
+            pdg = self._pdgs[caller]
+        sites = self._sites.get(id(pdg))
         if sites is None:
             sites = [CallSite(caller, callee, node.id, node.line)
-                     for callee, nodes
-                     in self._pdgs[caller].calls_made().items()
+                     for callee, nodes in pdg.calls_made().items()
                      if callee in self.edges
                      for node in nodes]
-            self._sites[caller] = sites
+            self._sites[id(pdg)] = sites
         return sites
 
-    def sites_in(self, caller: str) -> list[CallSite]:
-        if caller not in self.edges:
-            return []
-        return list(self._sites_of(caller))
-
-    def sites_calling(self, callee: str) -> list[CallSite]:
+    def sites_calling(self, callee: str,
+                      pdgs: Mapping[str, PDG] | None = None
+                      ) -> list[CallSite]:
         # AST edges over-approximate, so a false edge only builds a
         # PDG that then yields no matching site
         return [site for caller, callees in self.edges.items()
                 if callee in callees
-                for site in self._sites_of(caller)
+                for site in self._sites_of(caller, pdgs)
                 if site.callee == callee]
 
-    def sites_among(self, names: Iterable[str]) -> list[CallSite]:
+    def sites_among(self, names: Iterable[str],
+                    pdgs: Mapping[str, PDG] | None = None
+                    ) -> list[CallSite]:
         """Call sites whose caller *and* callee are both in ``names``.
 
         Only callers with an edge into ``names`` build their sites, so
@@ -169,7 +179,7 @@ class CallGraph:
         wanted = set(names)
         return [site for caller, callees in self.edges.items()
                 if caller in wanted and not wanted.isdisjoint(callees)
-                for site in self._sites_of(caller)
+                for site in self._sites_of(caller, pdgs)
                 if site.callee in wanted]
 
 

@@ -4,29 +4,41 @@ The autograd forward (paper Fig. 2 Steps IV-V) builds a Tensor node
 per op — even under ``no_grad`` every op allocates a fresh output
 array and re-casts it through the Tensor constructor.  Scoring never
 needs any of that, so this kernel runs the identical mathematics as
-plain ndarray code:
+plain ndarray code, with no autograd graph, activations applied in
+place, and the token-attention softmax (Eq. 3) skipped — it only feeds
+the ``last_weights`` visualization hook, never the scores.
 
-* activations (relu, the sigmoid gates) are applied **in place**;
-* the conv padding buffers and the matmul outputs of the token
-  attention and the dense head are **preallocated scratch buffers**
-  reused across batches of the same (batch, length) bucket — and kept
-  per *thread*, because the scan service's ``ThreadScorer`` drives one
-  model from N threads concurrently;
-* the conv bias lands via an in-place add on the im2col matmul output
-  (the bit-identity-safe form of folding it into the matmul: actually
-  changing the contraction would change float summation order);
-* the token-attention softmax (Eq. 3) is skipped — it only feeds the
-  ``last_weights`` visualization hook, never the scores;
-* no autograd graph is ever constructed.
+**Ragged packs.** SPP (Definition 8) lets Step V take a gadget of any
+length, so one call scores rows of *mixed* lengths: ``(B, T)``
+right-padded ids plus ``(B,)`` lengths.  The kernel concatenates the
+rows' positions into one ``(N, ·)`` array and keeps every reduction
+per row:
+
+* each 1-D convolution (the main conv, CBAM's spatial conv) lays the
+  rows out with ``kernel // 2`` zero positions between them — exactly
+  the padding a row sees alone — and reads one patch per real
+  position (:func:`_ragged_conv`);
+* CBAM's channel mean sums each row's own contiguous slice (``.sum``;
+  ``np.add.reduceat`` sums in a different order) and scales it by
+  ``dtype(1 / length)``; the channel max and the SPP bin maxima are
+  exact ``np.maximum.reduceat`` reductions over per-row spans
+  (:func:`_segment_max`, spans from ``_adaptive_spans``).
+
+**Batch invariance.** Every product runs through
+:func:`~repro.nn.tensor.tiled_matmul`, fixed-shape row tiles whose
+output rows depend only on their own input rows.  With per-row
+reductions, a row's logit is bitwise the same scored alone, in any
+pack, and at any position in it.
 
 **Bit-identity contract** (pinned by ``tests/models/test_fused.py``):
-at float32 the kernel reproduces ``net.forward(ids).data`` *bitwise*.
-That requires replicating the Tensor ops' exact float semantics, not
-just their mathematics — e.g. relu is ``x * (x > 0)`` (not
-``np.maximum``, which differs on ``-0.0``), mean is
-``sum * dtype(1/n)`` (not ``np.mean``), and the conv einsum is the
-same ``np.einsum("bok,ck->bco", ..., optimize=True)`` call as
-:func:`repro.nn.ops.conv1d`.
+at float32 the kernel reproduces ``net.forward(ids).data`` *bitwise*
+for equal-length rows.  The graph forward uses the same tiled products
+(``Linear``, ``conv1d``, the token-attention score), and the kernel
+replicates the Tensor ops' exact float semantics — e.g. relu is
+``x * (x > 0)`` (not ``np.maximum``, which differs on ``-0.0``) and a
+mean is ``sum * dtype(1/n)`` (not ``np.mean``).  Sums reduce over
+the same memory layout as the graph's: positions outer, channels
+contiguous.
 
 **Reduced precision**: int8-quantized models (see
 :mod:`repro.nn.quantize`) arrive here as dequantized float32 arrays,
@@ -35,11 +47,10 @@ so they take the plain float32 path.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
-from ..nn.ops import _adaptive_bounds, _im2col
+from ..nn.ops import _adaptive_spans, _offset_major
+from ..nn.tensor import MATMUL_TILE, tiled_matmul
 
 __all__ = ["InferenceKernel"]
 
@@ -55,168 +66,168 @@ def _sigmoid_inplace(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _ragged_conv(rows: np.ndarray, lengths: np.ndarray,
+                 weight: np.ndarray, bias: np.ndarray | None
+                 ) -> np.ndarray:
+    """'Same' 1-D convolution of every row of a ragged pack.
+
+    ``rows`` is (N, in_channels): the packed rows' positions, row
+    after row.  The rows are copied into a zero buffer with
+    ``kernel // 2`` zero positions before each row and after the last,
+    so a window never reaches into a neighbour; one patch per real
+    position then goes through a tiled product.  Returns
+    (N, out_channels).
+    """
+    _, in_channels, kernel = weight.shape
+    pad = kernel // 2
+    count = rows.shape[0]
+    # index of every real position in the gapped buffer
+    gapped = (np.arange(count)
+              + pad * np.arange(1, len(lengths) + 1).repeat(lengths))
+    buffer = np.zeros((count + pad * (len(lengths) + 1), in_channels),
+                      dtype=rows.dtype)
+    buffer[gapped] = rows
+    # window s = positions s .. s+kernel-1, one contiguous run: the
+    # offset-major patch of repro.nn.ops._im2col
+    windows = np.lib.stride_tricks.as_strided(
+        buffer, shape=(len(buffer) - kernel + 1, kernel * in_channels),
+        strides=(buffer.strides[0], buffer.itemsize), writeable=False)
+    # the patch matrix, already padded to whole product tiles
+    cols = np.empty((-(-count // MATMUL_TILE) * MATMUL_TILE,
+                     kernel * in_channels), dtype=rows.dtype)
+    cols[count:] = 0
+    np.take(windows, gapped - pad, axis=0, out=cols[:count])
+    out = tiled_matmul(cols, _offset_major(weight).T)[:count]
+    if bias is not None:
+        out += bias
+    return out
+
+
+def _segment_max(data: np.ndarray, starts: np.ndarray,
+                 ends: np.ndarray) -> np.ndarray:
+    """Exact ``data[s:e].max(axis=0)`` for every span (spans may
+    overlap; every one is non-empty)."""
+    # reduceat reduces [idx[i], idx[i+1]) and needs every idx < len:
+    # one spare row lets a span end at the last position
+    spare = np.concatenate([data, data[-1:]])
+    bounds = np.stack([starts, ends], axis=-1).reshape(-1)
+    return np.maximum.reduceat(spare, bounds, axis=0)[::2]
+
+
 class InferenceKernel:
     """Callable fused forward bound to one :class:`SEVulDetNet`.
 
-    Thread-safe: scratch buffers live in ``threading.local`` storage,
-    so concurrent ``predict_proba`` calls (the thread scorer) never
-    share a buffer.  Weight rebinding (``load_state_dict``,
-    quantization) is picked up automatically — weights are read from
-    the live parameters on every call.
+    Stateless between calls, so concurrent ``predict_proba`` calls
+    (the thread scorer) are safe.  Weight rebinding
+    (``load_state_dict``, quantization) is picked up automatically —
+    weights are read from the live parameters on every call.
     """
 
-    #: Scratch entries kept per thread before the cache resets; each
-    #: distinct (batch, length) bucket contributes a handful of keys.
-    _MAX_SCRATCH = 256
-
     def __init__(self, net):
+        conv = net.conv
+        if conv.stride != 1 or 2 * conv.padding + 1 != conv.kernel:
+            raise ValueError("the fused kernel needs a stride-1 'same' "
+                             "conv (odd kernel, padding kernel // 2)")
         self.net = net
-        self._tls = threading.local()
 
-    # -- buffers & matmul ------------------------------------------------------
+    def __call__(self, token_ids: np.ndarray,
+                 lengths: np.ndarray | None = None) -> np.ndarray:
+        """(B, T) int ids [+ (B,) row lengths] -> (B,) logits.
 
-    def _buffers(self) -> dict:
-        buffers = getattr(self._tls, "buffers", None)
-        if buffers is None:
-            buffers = self._tls.buffers = {}
-        return buffers
-
-    def _scratch(self, tag: str, shape: tuple[int, ...],
-                 dtype: np.dtype) -> np.ndarray:
-        buffers = self._buffers()
-        key = (tag, shape, dtype.str)
-        array = buffers.get(key)
-        if array is None:
-            if len(buffers) >= self._MAX_SCRATCH:
-                buffers.clear()
-            array = buffers[key] = np.empty(shape, dtype=dtype)
-        return array
-
-    def _matmul(self, a: np.ndarray, wparam, tag: str,
-                shape: tuple[int, ...]) -> np.ndarray:
-        """``a @ w`` into a scratch buffer."""
-        out = self._scratch(tag, shape, a.dtype)
-        return np.matmul(a, wparam.data, out=out)
-
-    def _conv1d(self, padded: np.ndarray, conv) -> np.ndarray:
-        kernel = conv.weight.data.shape[2]
-        out_channels = conv.weight.data.shape[0]
-        cols = _im2col(padded, kernel, 1)
-        # the same einsum call as repro.nn.ops.conv1d (bit identity)
-        out = np.einsum("bok,ck->bco", cols,
-                        conv.weight.data.reshape(out_channels, -1),
-                        optimize=True)
-        if conv.bias is not None:
-            out += conv.bias.data[None, :, None]
-        return out
-
-    def _pad(self, x_bct: np.ndarray, pad: int, tag: str) -> np.ndarray:
-        """Copy ``x`` into a zero-padded scratch buffer (last axis)."""
-        batch, channels, length = x_bct.shape
-        padded = self._scratch(tag, (batch, channels, length + 2 * pad),
-                               x_bct.dtype)
-        if pad:
-            padded[:, :, :pad] = 0
-            padded[:, :, pad + length:] = 0
-        padded[:, :, pad:pad + length] = x_bct
-        return padded
-
-    # -- the fused forward ---------------------------------------------------
-
-    def __call__(self, token_ids: np.ndarray) -> np.ndarray:
-        """(batch, length) int ids -> (batch,) logits, no graph."""
+        Row ``b`` is ``token_ids[b, :lengths[b]]``; without
+        ``lengths`` every row is ``T`` long.
+        """
         net = self.net
         ids = np.asarray(token_ids, dtype=np.int64)
-        if net.embedding.id_aliases is not None:
-            ids = net.embedding.id_aliases[ids]
+        batch, width = ids.shape
+        lengths = (np.full(batch, width, dtype=np.int64) if lengths is None
+                   else np.asarray(lengths, dtype=np.int64))
+        if lengths.shape != (batch,) or (batch and (
+                lengths.min() < 1 or lengths.max() > width)):
+            raise ValueError(f"lengths must be {batch} values in "
+                             f"[1, {width}], got {lengths!r}")
         weight = net.embedding.weight.data
         dtype = weight.dtype
-        batch, length = ids.shape
+        if not batch:
+            return np.zeros(0, dtype=dtype)
+        flat = ids[np.arange(width) < lengths[:, None]]   # (N,) packed
+        if net.embedding.id_aliases is not None:
+            flat = net.embedding.id_aliases[flat]
+        starts = np.cumsum(lengths) - lengths
+        ends = starts + lengths
 
-        x = weight[ids]                                  # (B, T, D)
-
+        x = weight[flat]                                 # (N, D)
         if net.use_token_attention:
             attn = net.token_attention
-            dim = weight.shape[1]
-            u = self._matmul(x, attn.proj.weight, "ta.u",
-                             (batch, length, dim))
+            u = tiled_matmul(x, attn.proj.weight.data)
             u += attn.proj.bias.data
             np.tanh(u, out=u)
-            gate = np.matmul(u, attn.context.data)       # (B, T) scores
+            gate = tiled_matmul(u, attn.context.data)    # (N,) scores
             gate += np.asarray(attn.GATE_BIAS, dtype=dtype)
             _sigmoid_inplace(gate)
-            x *= gate[:, :, None]
+            x *= gate[:, None]
 
-        pad = net.conv.padding
-        features = self._pad(x.transpose(0, 2, 1), pad, "conv.pad")
-        features = self._conv1d(features, net.conv)      # (B, C, T')
+        conv = net.conv
+        features = _ragged_conv(
+            x, lengths, conv.weight.data,
+            None if conv.bias is None else conv.bias.data)   # (N, C)
         features *= features > 0                         # in-place relu
-        channels, feat_len = features.shape[1], features.shape[2]
+        channels = features.shape[1]
 
         if net.use_cbam:
             # channel attention (Eq. 5): shared MLP over avg+max pools
             chan = net.cbam.channel
-            avg = features.sum(axis=2)
-            avg *= np.asarray(1.0 / feat_len, dtype=dtype)
-            mx = features.max(axis=2)
-            hidden = chan.fc1.weight.data.shape[1]
-            h_avg = self._matmul(avg, chan.fc1.weight, "ch.h",
-                                 (batch, hidden))
-            h_avg *= h_avg > 0
-            a_avg = np.matmul(h_avg, chan.fc2.weight.data)
-            h_mx = self._matmul(mx, chan.fc1.weight, "ch.h2",
-                                (batch, hidden))
-            h_mx *= h_mx > 0
-            a_mx = np.matmul(h_mx, chan.fc2.weight.data)
-            att = a_avg
-            att += a_mx
+            avg = np.stack([features[s:e].sum(axis=0)
+                            for s, e in zip(starts, ends)])
+            avg *= (1.0 / lengths).astype(dtype)[:, None]
+            mx = _segment_max(features, starts, ends)
+            hidden = tiled_matmul(np.concatenate([avg, mx]),
+                                  chan.fc1.weight.data)
+            hidden *= hidden > 0
+            both = tiled_matmul(hidden, chan.fc2.weight.data)
+            att = both[:batch]
+            att += both[batch:]
             att += chan.gate_bias.data
             _sigmoid_inplace(att)
-            features *= att[:, :, None]
+            features *= np.repeat(att, lengths, axis=0)
 
             # spatial attention (Eq. 6): conv over pooled channel maps
             spat = net.cbam.spatial
-            avg_s = features.sum(axis=1, keepdims=True)
-            avg_s *= np.asarray(1.0 / channels, dtype=dtype)
-            mx_s = features.max(axis=1, keepdims=True)
-            sp_pad = spat.kernel // 2
-            pooled = self._scratch(
-                "sp.pad", (batch, 2, feat_len + 2 * sp_pad), dtype)
-            if sp_pad:
-                pooled[:, :, :sp_pad] = 0
-                pooled[:, :, sp_pad + feat_len:] = 0
-            pooled[:, 0:1, sp_pad:sp_pad + feat_len] = avg_s
-            pooled[:, 1:2, sp_pad:sp_pad + feat_len] = mx_s
-            att_s = self._conv1d(pooled, spat)           # (B, 1, T')
+            pooled = np.empty((len(features), 2), dtype=dtype)
+            pooled[:, 0] = features.sum(axis=1)
+            pooled[:, 0] *= np.asarray(1.0 / channels, dtype=dtype)
+            # a max is exact in any order; over a transposed copy it
+            # reduces whole rows instead of 32-wide slivers
+            pooled[:, 1] = np.ascontiguousarray(features.T).max(axis=0)
+            att_s = _ragged_conv(pooled, lengths, spat.weight.data,
+                                 spat.bias.data)         # (N, 1)
             _sigmoid_inplace(att_s)
             features *= att_s
 
         # SPP (Definition 8): adaptive pooling pyramid -> fixed width
         pieces = []
         for bin_count in net.spp.bins:
-            bounds = _adaptive_bounds(feat_len, bin_count)
+            lo, hi = _adaptive_spans(lengths, bin_count)
+            lo = (lo + starts[:, None]).reshape(-1)
+            hi = (hi + starts[:, None]).reshape(-1)
             if net.spp.mode == "max":
-                pooled_bin = np.stack(
-                    [features[:, :, s:e].max(axis=2) for s, e in bounds],
-                    axis=2)
+                pooled_bin = _segment_max(features, lo, hi)
             else:
-                pooled_bin = np.stack(
-                    [features[:, :, s:e].mean(axis=2)
-                     for s, e in bounds], axis=2)
-            pieces.append(pooled_bin.reshape(batch,
-                                             channels * bin_count))
+                pooled_bin = np.stack([features[s:e].mean(axis=0)
+                                       for s, e in zip(lo, hi)])
+            # (B * bins, C) -> the graph's (B, C * bins) channel-major
+            pieces.append(pooled_bin.reshape(batch, bin_count, channels)
+                          .transpose(0, 2, 1)
+                          .reshape(batch, channels * bin_count))
         pooled_vec = np.concatenate(pieces, axis=1)      # (B, 7C)
 
         # dense head (dropout is identity in eval mode)
-        h1 = self._matmul(pooled_vec, net.fc1.weight, "fc1",
-                          (batch, net.fc1.out_features))
+        h1 = tiled_matmul(pooled_vec, net.fc1.weight.data)
         h1 += net.fc1.bias.data
         h1 *= h1 > 0
-        h2 = self._matmul(h1, net.fc2.weight, "fc2",
-                          (batch, net.fc2.out_features))
+        h2 = tiled_matmul(h1, net.fc2.weight.data)
         h2 += net.fc2.bias.data
         h2 *= h2 > 0
-        out = self._matmul(h2, net.fc3.weight, "fc3",
-                           (batch, net.fc3.out_features))
+        out = tiled_matmul(h2, net.fc3.weight.data)
         out += net.fc3.bias.data
-        return out.reshape(-1).copy()
+        return out.reshape(-1)

@@ -81,13 +81,18 @@ class SEVulDetNet(Module):
         hidden = self.dropout(self.fc2(hidden).relu())
         return self.fc3(hidden).reshape(-1)           # logits
 
-    def forward_inference(self, token_ids: np.ndarray) -> np.ndarray:
-        """Inference-only fused forward: (batch, length) ids ->
-        (batch,) logit ndarray, no autograd graph.
+    def forward_inference(self, token_ids: np.ndarray,
+                          lengths: np.ndarray | None = None
+                          ) -> np.ndarray:
+        """Inference-only fused forward: (batch, length) ids [+ (batch,)
+        row lengths] -> (batch,) logit ndarray, no autograd graph.
 
-        Bit-identical to ``forward(ids).data`` at float32 (pinned by
-        ``tests/models/test_fused.py``); under int8 weights it
-        is the measured-guardband path (see
+        Rows may differ in length (a ragged pack: row ``b`` is
+        ``token_ids[b, :lengths[b]]``), and a row's logit is bitwise
+        the same in any pack.  Bit-identical to ``forward(ids).data``
+        at float32 for equal-length rows (pinned by
+        ``tests/models/test_fused.py``); under int8 weights it is the
+        measured-guardband path (see
         :meth:`repro.core.detector.SEVulDet.quantize`).  Dropout is
         treated as identity, so callers must be in eval mode — exactly
         the regime :meth:`predict_proba` routes through it.
@@ -95,17 +100,25 @@ class SEVulDetNet(Module):
         kernel = self._infer_kernel
         if kernel is None:
             kernel = self._infer_kernel = InferenceKernel(self)
-        return kernel(token_ids)
+        return kernel(token_ids, lengths)
 
-    def predict_proba(self, token_ids: np.ndarray) -> np.ndarray:
-        """Sigmoid scores in [0, 1] (stable under any compute dtype).
+    def predict_proba(self, token_ids: np.ndarray,
+                      lengths: np.ndarray | None = None) -> np.ndarray:
+        """Sigmoid scores in [0, 1] (stable under any compute dtype)
+        for (batch, length) ids, optionally a ragged pack with
+        (batch,) row ``lengths``.
 
         In eval mode the logits come from the fused
         :meth:`forward_inference` kernel; a model still in training
-        mode falls back to the graph forward so dropout stays live.
+        mode falls back to the graph forward so dropout stays live,
+        which takes equal-length rows only.
         """
-        logits = (self.forward(token_ids).data if self.training
-                  else self.forward_inference(token_ids))
+        if not self.training:
+            logits = self.forward_inference(token_ids, lengths)
+        elif lengths is None:
+            logits = self.forward(token_ids).data
+        else:
+            raise ValueError("a ragged pack is scored in eval mode")
         return stable_sigmoid(logits)
 
     def attention_weights(self, token_ids: np.ndarray) -> np.ndarray:

@@ -55,7 +55,7 @@ class TokenAttention(Module):
         Eq. 3 defines and what the RQ4 visualization hooks read.
         """
         u = self.proj(x).tanh()                       # (B, T, D)
-        scores = u @ self.context                     # (B, T)
+        scores = u.matmul_rows(self.context)          # (B, T)
         alpha = scores.softmax(axis=-1)               # (B, T) Eq. 3
         self.last_weights = alpha.data.copy()
         gate = (scores + self.GATE_BIAS).sigmoid()    # (B, T)

@@ -63,18 +63,13 @@ def bucketed_batches(
     samples: Sequence[Sample], batch_size: int,
     rng: np.random.Generator | None = None,
     min_length: int = 1,
-    with_indices: bool = False,
-) -> Iterator[tuple[np.ndarray, ...]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield same-length batches without padding or truncation.
 
     Samples are grouped by exact length; batches are emitted per group.
     Sequences shorter than ``min_length`` are padded up to it (a
     convolution kernel still needs a minimum support), which for the
     default of 1 never triggers.
-
-    With ``with_indices`` each batch is ``(ids, labels, indices)``
-    where ``indices`` maps batch rows back to positions in ``samples``
-    — the inference path uses it to scatter scores into corpus order.
     """
     buckets: dict[int, list[int]] = {}
     for index, sample in enumerate(samples):
@@ -94,7 +89,4 @@ def bucketed_batches(
                  for i in chunk], dtype=np.int64)
             labels = np.array([samples[i].label for i in chunk],
                               dtype=get_default_dtype())
-            if with_indices:
-                yield ids, labels, np.asarray(chunk, dtype=np.int64)
-            else:
-                yield ids, labels
+            yield ids, labels

@@ -186,7 +186,8 @@ class Module:
 
 
 class Linear(Module):
-    """Fully-connected layer: ``y = x @ W + b``."""
+    """Fully-connected layer: ``y = x @ W + b``, batch-invariant
+    (:meth:`~repro.nn.tensor.Tensor.matmul_rows`)."""
 
     def __init__(self, in_features: int, out_features: int,
                  rng: np.random.Generator, bias: bool = True):
@@ -200,7 +201,7 @@ class Linear(Module):
             if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
+        out = x.matmul_rows(self.weight)
         if self.bias is not None:
             out = out + self.bias
         return out

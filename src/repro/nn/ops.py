@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dtype import get_default_dtype
-from .tensor import Tensor
+from .tensor import Tensor, tiled_matmul
 
 __all__ = ["conv1d", "max_pool1d", "avg_pool1d",
            "adaptive_max_pool1d", "adaptive_avg_pool1d",
@@ -41,17 +41,28 @@ def stable_sigmoid(logits: np.ndarray) -> np.ndarray:
 
 
 def _im2col(data: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """(B, C, L) -> (B, out_len, C*kernel) patch matrix."""
+    """(B, C, L) -> (B, out_len, kernel*C) patch matrix, offset-major:
+    column ``j * C + c`` holds channel ``c`` at window offset ``j``, so
+    a patch is ``kernel`` consecutive positions' channel vectors — one
+    contiguous run in a positions-major buffer (what the fused
+    kernel's ragged convolution copies)."""
     batch, channels, length = data.shape
     out_len = (length - kernel) // stride + 1
     stride_b, stride_c, stride_l = data.strides
     patches = np.lib.stride_tricks.as_strided(
         data,
-        shape=(batch, out_len, channels, kernel),
-        strides=(stride_b, stride_l * stride, stride_c, stride_l),
+        shape=(batch, out_len, kernel, channels),
+        strides=(stride_b, stride_l * stride, stride_l, stride_c),
         writeable=False,
     )
-    return patches.reshape(batch, out_len, channels * kernel)
+    return patches.reshape(batch, out_len, kernel * channels)
+
+
+def _offset_major(weight: np.ndarray) -> np.ndarray:
+    """(O, C, kernel) conv weight -> (O, kernel*C), the column order of
+    :func:`_im2col`'s patches."""
+    out_channels = weight.shape[0]
+    return weight.transpose(0, 2, 1).reshape(out_channels, -1)
 
 
 def _window_view(data: np.ndarray, kernel: int,
@@ -118,9 +129,11 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
                          f"{kernel}; pad the input")
     out_len = (length - kernel) // stride + 1
 
-    cols = _im2col(x.data, kernel, stride)  # (B, out_len, C*k)
-    w_flat = weight.data.reshape(out_channels, -1)  # (O, C*k)
-    out_data = np.einsum("bok,ck->bco", cols, w_flat, optimize=True)
+    cols = _im2col(x.data, kernel, stride)  # (B, out_len, k*C)
+    w_flat = _offset_major(weight.data)  # (O, k*C)
+    # one patch per product row, so a position's output never depends
+    # on the batch; (B, out_len, O) viewed as (B, O, out_len)
+    out_data = tiled_matmul(cols, w_flat.T).transpose(0, 2, 1)
     if bias is not None:
         out_data = out_data + bias.data[None, :, None]
 
@@ -130,17 +143,18 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         # grad: (B, O, out_len)
         if weight.requires_grad:
             grad_w = np.einsum("bco,bok->ck", grad, cols, optimize=True)
-            weight._accumulate(grad_w.reshape(weight.data.shape))
+            weight._accumulate(grad_w.reshape(
+                out_channels, kernel, in_channels).transpose(0, 2, 1))
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2)))
         if x.requires_grad:
             grad_cols = np.einsum("bco,ck->bok", grad, w_flat,
                                   optimize=True)
-            grad_cols = grad_cols.reshape(batch, out_len, in_channels,
-                                          kernel)
+            grad_cols = grad_cols.reshape(batch, out_len, kernel,
+                                          in_channels)
             grad_x = np.zeros((batch, in_channels, length),
                               dtype=grad.dtype)
-            _col2im_add(grad_x, grad_cols.transpose(0, 2, 1, 3),
+            _col2im_add(grad_x, grad_cols.transpose(0, 3, 1, 2),
                         kernel, stride)
             x._accumulate(grad_x)
 
@@ -211,12 +225,19 @@ def _adaptive_bounds(length: int, bins: int) -> list[tuple[int, int]]:
     if length < 1:
         raise ValueError(
             f"adaptive pooling needs length >= 1, got {length}")
-    bounds = []
-    for b in range(bins):
-        start = (b * length) // bins        # <= length - 1 for b < bins
-        end = max(-(-((b + 1) * length) // bins), start + 1)
-        bounds.append((start, min(end, length)))
-    return bounds
+    starts, ends = _adaptive_spans(np.array([length]), bins)
+    return list(zip(starts[0].tolist(), ends[0].tolist()))
+
+
+def _adaptive_spans(lengths: np.ndarray,
+                    bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_adaptive_bounds` for many lengths at once: (R,) lengths
+    (each >= 1) -> (R, bins) span starts and (R, bins) span ends."""
+    lengths = np.asarray(lengths, dtype=np.int64)[:, None]
+    index = np.arange(bins)
+    starts = (index * lengths) // bins      # <= length - 1 for b < bins
+    ends = np.maximum(-(-((index + 1) * lengths) // bins), starts + 1)
+    return starts, np.minimum(ends, lengths)
 
 
 def adaptive_max_pool1d(x: Tensor, bins: int) -> Tensor:

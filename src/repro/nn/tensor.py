@@ -20,7 +20,8 @@ import numpy as np
 
 from .dtype import get_default_dtype
 
-__all__ = ["Tensor", "as_tensor", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "as_tensor", "no_grad", "is_grad_enabled",
+           "MATMUL_TILE", "matmul_tile", "tiled_matmul"]
 
 # Grad mode is thread-local: concurrent no_grad scopes (e.g. the scan
 # service's scorer threads) must not race a shared flag's save/restore
@@ -57,6 +58,55 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad
+
+
+#: Most rows per product in :func:`tiled_matmul`.
+MATMUL_TILE = 64
+
+#: Multiply-adds up to which OpenBLAS keeps one product on one thread
+#: (65536 x its GEMM_MULTITHREAD_THRESHOLD of 4).
+_SINGLE_THREAD_WORK = 1 << 18
+
+
+def matmul_tile(depth: int, width: int) -> int:
+    """Rows per tile for a (depth, width) weight: :data:`MATMUL_TILE`,
+    halved while one tile's product would be split across BLAS
+    threads.  A tile of 64 rows through a 224x256 dense layer would
+    be, and on a 2-CPU host a split product waits for a busy partner
+    thread: that made small-batch training twice as slow next to one
+    other busy process.  The tile depends only on the weight's shape,
+    never on the batch."""
+    tile = MATMUL_TILE
+    while tile > 1 and tile * depth * width > _SINGLE_THREAD_WORK:
+        tile //= 2
+    return tile
+
+
+def tiled_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``a @ w`` for ``a`` of shape (..., K) and ``w`` of shape (K, N)
+    or (K,), computed so each output row depends only on its own row.
+
+    BLAS picks its kernel from the operand shapes: OpenBLAS computes a
+    one-row or one-column product differently from a larger one, so a
+    plain ``a @ w`` can give a row different last bits depending on
+    how many other rows share the product.  Here the rows are
+    flattened, padded with zero rows to a whole number of tiles of
+    :func:`matmul_tile` rows, and multiplied tile by tile: every BLAS
+    call has the same shape, and a row's result is the same alone, in
+    any batch and at any position in it.
+    """
+    depth = a.shape[-1]
+    tile = matmul_tile(depth, w.shape[1] if w.ndim == 2 else 1)
+    rows = a.reshape(-1, depth)
+    count = rows.shape[0]
+    padded = -(-count // tile) * tile
+    if padded != count or not rows.flags.c_contiguous:
+        tiles = np.zeros((padded, depth), dtype=a.dtype)
+        tiles[:count] = rows
+        rows = tiles
+    out = np.matmul(rows.reshape(padded // tile, tile, depth), w)
+    return out.reshape(padded, *w.shape[1:])[:count].reshape(
+        *a.shape[:-1], *w.shape[1:])
 
 
 class Tensor:
@@ -245,8 +295,15 @@ class Tensor:
 
     def __matmul__(self, other) -> "Tensor":
         other = as_tensor(other)
-        out_data = self.data @ other.data
+        return self._matmul(other, self.data @ other.data)
 
+    def matmul_rows(self, other) -> "Tensor":
+        """``self @ other`` through :func:`tiled_matmul`: each output
+        row depends only on its own input row, never on the batch."""
+        other = as_tensor(other)
+        return self._matmul(other, tiled_matmul(self.data, other.data))
+
+    def _matmul(self, other: "Tensor", out_data: np.ndarray) -> "Tensor":
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 if other.data.ndim == 1:

@@ -10,8 +10,10 @@ unguarded programs of Fig 1 produce identical classic gadgets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from ..lang.callgraph import AnalyzedProgram
+from ..lang.pdg import PDG
 from .slicer import Slice, compute_slice
 from .special_tokens import SlicingCriterion
 
@@ -65,15 +67,19 @@ class CodeGadget:
 
 
 def order_functions(program: AnalyzedProgram,
-                    function_names: list[str]) -> list[str]:
+                    function_names: list[str],
+                    pdgs: Mapping[str, PDG] | None = None) -> list[str]:
     """Order slice functions caller-before-callee (paper Step III).
 
-    Functions unreachable from each other keep their source order.  A
-    call cycle (recursion) among them falls back to plain source order.
+    Call sites are read from ``pdgs`` (a slice's ``pdgs``: the body of
+    each function the slice holds, which for an ``#ifdef``-duplicated
+    name need not be its last definition).  Functions unreachable from
+    each other keep their source order.  A call cycle (recursion) among
+    them falls back to plain source order.
     """
     wanted = set(function_names)
     callees: dict[str, set[str]] = {name: set() for name in wanted}
-    for site in program.call_graph.sites_among(wanted):
+    for site in program.call_graph.sites_among(wanted, pdgs):
         callees[site.caller].add(site.callee)
     indegree = dict.fromkeys(wanted, 0)
     for targets in callees.values():
@@ -109,7 +115,8 @@ def assemble_classic_gadget(program: AnalyzedProgram,
     criterion = slice_.criterion
     per_function = slice_.lines()
     lines: list[GadgetLine] = []
-    for fn_name in order_functions(program, list(per_function)):
+    for fn_name in order_functions(program, list(per_function),
+                                   slice_.pdgs):
         for line_no in sorted(per_function[fn_name]):
             text = program.statement_text(line_no)
             if not text:

@@ -236,7 +236,8 @@ def assemble_path_sensitive_gadget(program: AnalyzedProgram,
     criterion = slice_.criterion
     per_function = slice_.lines()
     lines: list[GadgetLine] = []
-    for fn_name in order_functions(program, list(per_function)):
+    for fn_name in order_functions(program, list(per_function),
+                                   slice_.pdgs):
         slice_lines = per_function[fn_name]
         ranges = _function_ranges(program,
                                   slice_.pdgs[fn_name].cfg.function)

@@ -94,14 +94,16 @@ def compute_slice(
     frontier = [criterion.function]
     while frontier and len(visited) < max_functions:
         callee = frontier.pop()
-        for site in program.call_graph.sites_calling(callee):
+        for site in program.call_graph.sites_calling(callee,
+                                                     result.pdgs):
             if site.caller in visited or site.caller not in program.pdgs:
                 continue
             visited.add(site.caller)
             frontier.append(site.caller)
             seed = {
                 s.node_id
-                for s in program.call_graph.sites_calling(callee)
+                for s in program.call_graph.sites_calling(callee,
+                                                          result.pdgs)
                 if s.caller == site.caller
             }
             caller_pdg = program.pdg(site.caller)

@@ -59,14 +59,28 @@ class TestByteIdentity:
             else:
                 assert records == reference
 
-    def test_scores_match_serial_exactly(self, detector, corpus):
-        with ScanService(detector, workers=2,
-                         batch_size=16) as service:
-            verdicts = service.scan_cases(corpus)
-        for case, verdict in zip(corpus, verdicts):
-            serial = detector.detect_case(case)
-            for batched, single in zip(verdict.findings, serial):
-                assert batched.score == single.score  # bit-equal
+    @pytest.mark.parametrize("batch_size", [1, 7, 64])
+    def test_scores_match_serial_exactly(self, detector, corpus,
+                                         batch_size):
+        """Every gadget's score is bit-equal to the serial one, and the
+        findings come in the same order.  At threshold 0 every gadget
+        is a finding, so this compares all scores (and the tie order
+        of equal ones), not just those past the operating threshold;
+        the service packs rows of many cases and lengths together, the
+        serial path scores each case on its own."""
+        original = detector.threshold
+        detector.threshold = 0.0
+        try:
+            serial = [detector.detect_case(case) for case in corpus]
+            with ScanService(detector, workers=2,
+                             batch_size=batch_size) as service:
+                verdicts = service.scan_cases(corpus)
+        finally:
+            detector.threshold = original
+        assert sum(len(findings) for findings in serial) > len(corpus)
+        for verdict, findings in zip(verdicts, serial):
+            assert len(verdict.findings) == verdict.gadgets
+            assert list(verdict.findings) == findings  # bit-equal
 
 
 class TestResultCaching:

@@ -44,11 +44,6 @@ class TestCallGraph:
         assert program.call_graph.callers("helper") == {"middle"}
         assert program.call_graph.callees("main") == {"middle"}
 
-    def test_sites_in(self):
-        program = analyze(SOURCE)
-        assert {s.callee for s in program.call_graph.sites_in("main")} \
-            == {"middle"}
-
 
 class TestFacade:
     def test_function_names(self):

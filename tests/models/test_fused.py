@@ -42,7 +42,7 @@ class TestBitIdentityFloat32:
         assert np.array_equal(fused, reference)
 
     def test_scratch_reuse_stays_identical(self):
-        """Second and third calls hit the preallocated buffers."""
+        """Repeated calls on one kernel stay identical."""
         net = build()
         rng = np.random.default_rng(1)
         with no_grad():
@@ -88,8 +88,8 @@ class TestBitIdentityFloat32:
             assert np.array_equal(net.predict_proba(ids), expected)
 
     def test_thread_safety_of_scratch_buffers(self):
-        """Concurrent callers (the thread scorer) must not share
-        scratch — each thread's outputs stay bit-identical."""
+        """Concurrent callers (the thread scorer) share one kernel —
+        each thread's outputs stay bit-identical."""
         net = build()
         rng = np.random.default_rng(6)
         batches = [batch(rng, shape=(4, 13)) for _ in range(4)]

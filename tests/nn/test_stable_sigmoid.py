@@ -61,7 +61,7 @@ class TestPredictProbaStability:
         monkeypatch.setattr(model, "forward",
                             lambda token_ids: Tensor(logits))
         monkeypatch.setattr(model, "forward_inference",
-                            lambda token_ids: logits)
+                            lambda token_ids, lengths=None: logits)
         token_ids = np.zeros((len(EXTREME), 6), dtype=np.int64)
         for mode in (model.eval, model.train):
             mode()

@@ -170,3 +170,17 @@ class TestDuplicateDefinitions:
         assert result.lines() == {"copy": {6, 7}, "helper": {2}}
         # the call edge of the first body is kept under the shared name
         assert program.call_graph.callees("copy") == {"helper"}
+
+    def test_gadget_orders_the_sliced_body_before_its_callee(self):
+        """Call sites for ordering come from the body the slice holds
+        (the first ``copy``, which calls ``helper``), not from the last
+        definition of the name (which calls nothing)."""
+        from repro.slicing.path_sensitive import path_sensitive_gadget
+
+        program = analyze(IFDEF_CALL)
+        criterion = next(c for c in find_special_tokens(program)
+                         if c.token == "strcpy")
+        gadget = path_sensitive_gadget(program, criterion)
+        assert gadget.functions() == ["copy", "helper"]
+        lines = gadget.line_numbers()
+        assert lines.index(6) < lines.index(7) < lines.index(2)
