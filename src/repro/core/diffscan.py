@@ -33,6 +33,7 @@ from typing import Callable, Iterable, Iterator
 
 from ..lang.callgraph import ast_call_edges
 from ..lang.parser import ParseError, parse
+from ..lang.source import SourceFile
 from .fingerprint import (DEFAULT_FRONTIER_DEPTH, changed_functions,
                           invalidation_frontier)
 from .serve import ScanService, case_for_file
@@ -98,12 +99,14 @@ def _file_frontier(base_source: str, target_source: str,
                    depth: int) -> list[str]:
     """Reported re-slice plan for one changed file: edited functions
     plus callers within ``depth`` hops (in the *target* call graph;
-    when the target does not parse, the fingerprint diff alone)."""
-    changed = changed_functions(base_source, target_source)
+    when the target does not parse, the fingerprint diff alone).
+    Each version is lexed once."""
+    target = SourceFile("<target>", target_source)
+    changed = changed_functions(base_source, target.tokens)
     if not changed:
         return []
     try:
-        edges = ast_call_edges(parse(target_source))
+        edges = ast_call_edges(parse(target))
     except (ParseError, RecursionError):
         return sorted(changed)
     return sorted(invalidation_frontier(edges, changed, depth))

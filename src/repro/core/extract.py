@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
@@ -112,10 +112,11 @@ def _make_config(kind: str, categories: tuple[str, ...] | None, *,
 _CaseOutcome = tuple
 
 
-def _criterion_gadget(program, criterion, manifest, case: TestCase,
-                      config: _ExtractConfig,
-                      local: Telemetry) -> LabeledGadget | None:
-    """Slice/label/normalize one criterion (None if it slices empty)."""
+def _line_gadget(program, criterion, manifest, config: _ExtractConfig,
+                 local: Telemetry
+                 ) -> tuple[CodeGadget, tuple[str, ...]] | None:
+    """Slice/label/normalize at a criterion's function and line, all
+    they read of it (None if it slices empty)."""
     with local.stage("slice"):
         if config.kind == "path-sensitive":
             gadget = path_sensitive_gadget(program, criterion)
@@ -127,15 +128,7 @@ def _criterion_gadget(program, criterion, manifest, case: TestCase,
     gadget.label = label_gadget(gadget, manifest)
     with local.stage("normalize"):
         normalized = normalize_gadget(gadget)
-    return LabeledGadget(
-        tokens=tuple(normalized.tokens),
-        label=gadget.label,
-        category=criterion.category.value,
-        case_name=case.name,
-        criterion=criterion,
-        kind=config.kind,
-        gadget=gadget if config.keep_gadget else None,
-        cwe=case.cwe)
+    return gadget, tuple(normalized.tokens)
 
 
 def _extract_case(case: TestCase, config: _ExtractConfig,
@@ -160,6 +153,7 @@ def _extract_case(case: TestCase, config: _ExtractConfig,
     sorted by ``(function, line, category, token)`` — function groups
     are contiguous, so concatenating per-function lists (cached or
     fresh) reproduces the cache-free gadget order byte for byte.
+    Criteria on one line share one :func:`_line_gadget`.
     """
     local = Telemetry()
     gadgets: list[LabeledGadget] = []
@@ -175,7 +169,7 @@ def _extract_case(case: TestCase, config: _ExtractConfig,
                 fn_cache = None  # cached records drop the raw gadgets
             if fn_cache is not None:
                 digests = component_digests(
-                    function_fingerprints(case.source),
+                    function_fingerprints(program.source.tokens),
                     program.call_graph.edges)
                 token = config.cache_token()
             for fn_name, fn_criteria in groupby(
@@ -190,12 +184,25 @@ def _extract_case(case: TestCase, config: _ExtractConfig,
                         continue
                     local.count("fn_cache_misses")
                 fresh: list[LabeledGadget] = []
+                per_line: dict[int, tuple | None] = {}
                 for criterion in fn_criteria:
-                    labeled = _criterion_gadget(program, criterion,
-                                                manifest, case, config,
-                                                local)
-                    if labeled is not None:
-                        fresh.append(labeled)
+                    if criterion.line not in per_line:
+                        per_line[criterion.line] = _line_gadget(
+                            program, criterion, manifest, config, local)
+                    made = per_line[criterion.line]
+                    if made is None:
+                        continue
+                    gadget, tokens = made
+                    fresh.append(LabeledGadget(
+                        tokens=tokens,
+                        label=gadget.label,
+                        category=criterion.category.value,
+                        case_name=case.name,
+                        criterion=criterion,
+                        kind=config.kind,
+                        gadget=(replace(gadget, criterion=criterion)
+                                if config.keep_gadget else None),
+                        cwe=case.cwe))
                 if fn_cache is not None:
                     fn_cache.put_function(key, fresh)
                 gadgets.extend(fresh)

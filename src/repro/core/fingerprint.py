@@ -8,7 +8,8 @@ function granularity underneath :mod:`repro.core.diffscan`:
 
 * :func:`function_fingerprints` — one sha256 per function over its
   ``(kind, text, line)`` token triples, with function extents
-  recovered from the raw token stream, without parsing.  Comment and whitespace edits
+  recovered from the raw token stream (an analyzed program's
+  ``SourceFile.tokens``, or a fresh lex), without parsing.  Comment and whitespace edits
   that keep token lines stable leave the fingerprint unchanged; a
   line-shifting edit invalidates every following function — correct,
   because findings carry absolute line numbers.
@@ -126,8 +127,9 @@ def _function_token_runs(tokens: Sequence[Token]
     return runs
 
 
-def function_fingerprints(source: str) -> dict[str, str]:
-    """sha256 per function over its ``(kind, text, line)`` triples.
+def function_fingerprints(source: str | Sequence[Token]) -> dict[str, str]:
+    """sha256 per function over its ``(kind, text, line)`` triples, from
+    C source text or its raw stream (``tokenize(text)``).
 
     Comments never participate (the lexer drops them), so a comment
     edit that keeps following tokens on their lines leaves every
@@ -136,7 +138,7 @@ def function_fingerprints(source: str) -> dict[str, str]:
     that shifts a function must invalidate it.  Duplicate definitions
     of one name fold into a single digest covering all of them.
     """
-    tokens = tokenize(source)
+    tokens = tokenize(source) if isinstance(source, str) else source
     digests: dict[str, "hashlib._Hash"] = {}
     for name, first, last in _function_token_runs(tokens):
         digest = digests.get(name)
@@ -150,7 +152,8 @@ def function_fingerprints(source: str) -> dict[str, str]:
             for name, digest in digests.items()}
 
 
-def changed_functions(base_source: str, target_source: str) -> set[str]:
+def changed_functions(base_source: str | Sequence[Token],
+                      target_source: str | Sequence[Token]) -> set[str]:
     """Function names whose fingerprint differs between two versions
     of a file (added and removed functions included)."""
     base = function_fingerprints(base_source)

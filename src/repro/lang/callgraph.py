@@ -226,4 +226,5 @@ class AnalyzedProgram:
 
 def analyze(source_text: str, path: str = "<memory>") -> AnalyzedProgram:
     """Parse C source text; PDGs and call sites follow on demand."""
-    return AnalyzedProgram(SourceFile(path, source_text), parse(source_text))
+    source = SourceFile(path, source_text)
+    return AnalyzedProgram(source, parse(source))

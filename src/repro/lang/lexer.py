@@ -5,16 +5,15 @@ carrying kind, text, line and column.  It is deliberately forgiving: any
 byte sequence lexes (unknown characters become ``ERROR`` tokens) so that
 property-based tests can throw arbitrary input at it, and so that the
 lexical baseline scanners (flawfinder/RATS simulacra) can scan code the
-parser does not fully support.
+parser does not fully support.  :func:`tokenize` is one compiled scan.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator
+import re
 
-__all__ = ["TokenKind", "Token", "Lexer", "tokenize", "KEYWORDS"]
+__all__ = ["TokenKind", "Token", "tokenize", "KEYWORDS"]
 
 
 class TokenKind(enum.Enum):
@@ -55,7 +54,6 @@ _PUNCTUATORS = [
 ]
 
 
-@dataclass(frozen=True)
 class Token:
     """A single lexical token.
 
@@ -64,12 +62,27 @@ class Token:
         text: exact source text of the token.
         line: 1-based line number of the first character.
         col: 1-based column number of the first character.
+
+    ``__slots__``, not a frozen dataclass: making tokens is half the
+    lexer's cost.  Never mutated; equality and hash use all four fields.
     """
 
-    kind: TokenKind
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: TokenKind, text: str, line: int, col: int):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Token:
+            return NotImplemented
+        return (self.kind, self.text, self.line, self.col) == \
+            (other.kind, other.text, other.line, other.col)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.text, self.line, self.col))
 
     def is_keyword(self, *names: str) -> bool:
         """Return True when the token is one of the given keywords."""
@@ -83,150 +96,87 @@ class Token:
         return f"Token({self.kind.name}, {self.text!r}, {self.line}:{self.col})"
 
 
-class Lexer:
-    """Streaming lexer over a source string.
+# One alternative per token kind, tried in the original per-character
+# dispatch order.  ``{alpha}``/``{digit}`` hold the ``str.isalpha``/
+# ``str.isdigit`` characters; ``\w`` and ``[^\W_]`` are exactly
+# ``str.isalnum`` (plus ``_``), what identifiers and hex digits continue
+# with.  A literal ends at its quote, an unescaped newline or the end of
+# input; a backslash escapes any next character, newline included.
+_TEMPLATE = r"""
+ (?P<SPACE>[ \t\r\n\f\v]+)
+|(?P<COMMENT>//[^\n]*|/\*.*?(?:\*/|\Z))
+|(?P<IDENT>[{alpha}_]\w*)
+|(?P<NUMBER>0[xX][^\W_]*
+  |(?:[{digit}]+(?:\.[{digit}]*)?|\.[{digit}]+)(?:[eE][+-]?[{digit}]+)?[uUlLfF]*)
+|(?P<STRING>"(?:[^"\\\n]+|\\.?)*"?)
+|(?P<CHAR>'(?:[^'\\\n]+|\\.?)*'?)
+|(?P<PUNCT>{punct})
+|(?P<ERROR>.)
+"""
 
-    Comments are produced as ``COMMENT`` tokens so callers interested in
-    raw text (e.g. the clone-detection baseline) can see them; the parser
-    filters them out.
-    """
+_NON_ASCII = re.compile(r"[^\x00-\x7f]")
 
-    def __init__(self, source: str):
-        self._src = source
-        self._pos = 0
-        self._line = 1
-        self._col = 1
 
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        return self._src[index] if index < len(self._src) else ""
+def _pattern(alpha: str = "", digit: str = "") -> re.Pattern[str]:
+    """The master pattern, with extra identifier-start and digit
+    characters (``re`` caches compiled patterns by their text)."""
+    return re.compile(_TEMPLATE.format(
+        alpha="A-Za-z" + alpha, digit="0-9" + digit,
+        punct="|".join(map(re.escape, _PUNCTUATORS))), re.S | re.X)
 
-    def _advance(self, count: int = 1) -> str:
-        taken = self._src[self._pos : self._pos + count]
-        for ch in taken:
-            if ch == "\n":
-                self._line += 1
-                self._col = 1
-            else:
-                self._col += 1
-        self._pos += count
-        return taken
 
-    def tokens(self) -> Iterator[Token]:
-        """Yield every token in the source, ending with a single EOF."""
-        while self._pos < len(self._src):
-            ch = self._peek()
-            if ch in " \t\r\n\f\v":
-                self._advance()
-                continue
-            line, col = self._line, self._col
-            if ch == "/" and self._peek(1) == "/":
-                yield Token(TokenKind.COMMENT, self._line_comment(), line, col)
-            elif ch == "/" and self._peek(1) == "*":
-                yield Token(TokenKind.COMMENT, self._block_comment(), line, col)
-            elif ch.isalpha() or ch == "_":
-                text = self._identifier()
-                kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-                yield Token(kind, text, line, col)
-            elif ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-                yield Token(TokenKind.NUMBER, self._number(), line, col)
-            elif ch == '"':
-                yield Token(TokenKind.STRING, self._quoted('"'), line, col)
-            elif ch == "'":
-                yield Token(TokenKind.CHAR, self._quoted("'"), line, col)
-            else:
-                punct = self._punctuator()
-                if punct is not None:
-                    yield Token(TokenKind.PUNCT, punct, line, col)
-                else:
-                    yield Token(TokenKind.ERROR, self._advance(), line, col)
-        yield Token(TokenKind.EOF, "", self._line, self._col)
+_ASCII_PATTERN = _pattern()
 
-    def _line_comment(self) -> str:
-        start = self._pos
-        while self._pos < len(self._src) and self._peek() != "\n":
-            self._advance()
-        return self._src[start : self._pos]
 
-    def _block_comment(self) -> str:
-        start = self._pos
-        self._advance(2)
-        while self._pos < len(self._src):
-            if self._peek() == "*" and self._peek(1) == "/":
-                self._advance(2)
-                break
-            self._advance()
-        return self._src[start : self._pos]
+def _pattern_for(source: str) -> re.Pattern[str]:
+    """The ASCII pattern, or one whose classes also hold the text's
+    non-ASCII letters and digits (``str.isalpha``/``isdigit``, which
+    ``\\w``/``\\d`` only approximate: ``'²'`` starts a number and
+    ``'½'`` is an error token)."""
+    if source.isascii():
+        return _ASCII_PATTERN
+    chars = sorted(set(_NON_ASCII.findall(source)))
+    alpha = "".join(c for c in chars if c.isalpha())
+    digit = "".join(c for c in chars if c.isdigit())
+    return _pattern(alpha, digit) if alpha or digit else _ASCII_PATTERN
 
-    def _identifier(self) -> str:
-        start = self._pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        return self._src[start : self._pos]
 
-    def _peek_in(self, chars: str, offset: int = 0) -> bool:
-        """Membership test that is False at end of input ('' is a
-        substring of everything, so a bare `in` check would loop)."""
-        ch = self._peek(offset)
-        return bool(ch) and ch in chars
-
-    def _number(self) -> str:
-        start = self._pos
-        if self._peek() == "0" and self._peek_in("xX", 1):
-            self._advance(2)
-            while self._peek().isalnum():
-                self._advance()
-        else:
-            while self._peek().isdigit():
-                self._advance()
-            if self._peek() == ".":
-                self._advance()
-                while self._peek().isdigit():
-                    self._advance()
-            if self._peek_in("eE") and (
-                self._peek(1).isdigit()
-                or (self._peek_in("+-", 1) and self._peek(2).isdigit())
-            ):
-                self._advance()
-                if self._peek_in("+-"):
-                    self._advance()
-                while self._peek().isdigit():
-                    self._advance()
-        # Integer/float suffixes (u, l, f combinations).
-        while self._peek_in("uUlLfF"):
-            self._advance()
-        return self._src[start : self._pos]
-
-    def _quoted(self, quote: str) -> str:
-        start = self._pos
-        self._advance()  # opening quote
-        while self._pos < len(self._src) and self._peek() != quote:
-            if self._peek() == "\\" and self._pos + 1 < len(self._src):
-                self._advance(2)
-            elif self._peek() == "\n":
-                break  # unterminated literal: stop at end of line
-            else:
-                self._advance()
-        if self._peek() == quote:
-            self._advance()
-        return self._src[start : self._pos]
-
-    def _punctuator(self) -> str | None:
-        for punct in _PUNCTUATORS:
-            if self._src.startswith(punct, self._pos):
-                self._advance(len(punct))
-                return punct
-        return None
+_KINDS = {kind.name: kind for kind in TokenKind}
 
 
 def tokenize(source: str, *, keep_comments: bool = False) -> list[Token]:
     """Tokenize ``source`` into a list ending with an EOF token.
 
+    Any text lexes: a character no token starts with becomes a
+    one-character ``ERROR`` token, and unterminated comments and
+    literals end at the end of input (literals also at a newline).
+
     Args:
         source: C source text.
         keep_comments: when False (default) COMMENT tokens are dropped.
     """
-    toks = list(Lexer(source).tokens())
-    if not keep_comments:
-        toks = [t for t in toks if t.kind is not TokenKind.COMMENT]
-    return toks
+    tokens: list[Token] = []
+    append = tokens.append
+    ident, keyword, comment = (TokenKind.IDENT, TokenKind.KEYWORD,
+                               TokenKind.COMMENT)
+    line, line_start = 1, 0
+    for match in _pattern_for(source).finditer(source):
+        name = match.lastgroup
+        text = match.group()
+        if name == "SPACE":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = match.start() + text.rindex("\n") + 1
+            continue
+        start = match.start()
+        kind = _KINDS[name]
+        if kind is ident and text in KEYWORDS:
+            kind = keyword
+        if kind is not comment or keep_comments:
+            append(Token(kind, text, line, start - line_start + 1))
+        if "\n" in text:  # a comment or literal spanning lines
+            line += text.count("\n")
+            line_start = start + text.rindex("\n") + 1
+    append(Token(TokenKind.EOF, "", line, len(source) - line_start + 1))
+    return tokens

@@ -15,8 +15,8 @@ tests assert on.
 from __future__ import annotations
 
 from . import ast_nodes as A
-from .lexer import Token, TokenKind, tokenize
-from .source import strip_preprocessor
+from .lexer import Token, TokenKind
+from .source import SourceFile
 
 __all__ = ["ParseError", "Parser", "parse"]
 
@@ -62,11 +62,11 @@ class ParseError(SyntaxError):
 
 
 class Parser:
-    """One-pass recursive-descent parser with a typedef symbol table."""
+    """One-pass recursive-descent parser with a typedef symbol table,
+    over a preprocessor-stripped stream (``SourceFile.parser_tokens``)."""
 
-    def __init__(self, source: str):
-        clean = strip_preprocessor(source)
-        self._toks = tokenize(clean)
+    def __init__(self, tokens: list[Token]):
+        self._toks = tokens
         self._i = 0
         self._typedefs: set[str] = set()
         self._struct_names: set[str] = set()
@@ -673,6 +673,9 @@ class Parser:
         raise ParseError("expected expression", tok)
 
 
-def parse(source: str) -> A.TranslationUnit:
-    """Parse C source text into a :class:`~repro.lang.ast_nodes.TranslationUnit`."""
-    return Parser(source).parse_translation_unit()
+def parse(source: str | SourceFile) -> A.TranslationUnit:
+    """Parse C source text (or a :class:`SourceFile`, reusing its
+    tokens) into a :class:`~repro.lang.ast_nodes.TranslationUnit`."""
+    if isinstance(source, str):
+        source = SourceFile("<memory>", source)
+    return Parser(source.parser_tokens()).parse_translation_unit()

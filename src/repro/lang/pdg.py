@@ -24,7 +24,9 @@ class PDG:
     Nodes are CFG node ids.  :attr:`edges` lists ``(src, dst, kind,
     label)`` with ``kind`` ``"data"`` (labelled by the variable) or
     ``"control"`` (labelled by the branch); per-kind successor and
-    predecessor maps serve the slicing closures.
+    predecessor maps serve the slicing closures.  The line index and
+    call map are built once and shared by every slice: callers must
+    not mutate what :meth:`nodes_on_line` and :meth:`calls_made` return.
     """
 
     def __init__(self, cfg: CFG, def_use: dict[int, DefUse]):
@@ -33,6 +35,12 @@ class PDG:
         self.edges: list[tuple[int, int, str, str]] = []
         self.succ: dict[str, dict[int, list[int]]] = {k: {} for k in _KINDS}
         self.pred: dict[str, dict[int, list[int]]] = {k: {} for k in _KINDS}
+        self._on_line: dict[int, list[CFGNode]] = {}
+        self._calls: dict[str, list[CFGNode]] = {}
+        for node in cfg.statement_nodes():
+            self._on_line.setdefault(node.line, []).append(node)
+            for name in def_use[node.id].called:
+                self._calls.setdefault(name, []).append(node)
 
     @property
     def function_name(self) -> str:
@@ -49,7 +57,7 @@ class PDG:
 
     def nodes_on_line(self, line: int) -> list[CFGNode]:
         """Statement nodes whose source line equals ``line``."""
-        return [n for n in self.cfg.statement_nodes() if n.line == line]
+        return self._on_line.get(line, [])
 
     def data_edges(self) -> list[tuple[int, int, str]]:
         return [(u, v, var) for u, v, kind, var in self.edges
@@ -92,11 +100,7 @@ class PDG:
 
     def calls_made(self) -> dict[str, list[CFGNode]]:
         """Callee name -> list of CFG nodes containing a call to it."""
-        calls: dict[str, list[CFGNode]] = {}
-        for node in self.cfg.statement_nodes():
-            for name in self.def_use[node.id].called:
-                calls.setdefault(name, []).append(node)
-        return calls
+        return self._calls
 
 
 def build_pdg(function: A.FunctionDef) -> PDG:

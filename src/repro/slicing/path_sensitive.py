@@ -27,15 +27,18 @@ already appear in the forward/backward slices (paper Section III-B).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from ..lang import ast_nodes as A
 from ..lang.callgraph import AnalyzedProgram
+from ..lang.lexer import Token, TokenKind, tokenize
 from .gadget import CodeGadget, GadgetLine, order_functions
 from .slicer import Slice, compute_slice
 from .special_tokens import SlicingCriterion
 
 __all__ = ["ControlRange", "extract_control_ranges", "brace_ranges",
-           "assemble_path_sensitive_gadget", "path_sensitive_gadget"]
+           "brace_pairs", "assemble_path_sensitive_gadget",
+           "path_sensitive_gadget"]
 
 
 @dataclass
@@ -86,46 +89,23 @@ def _subtree_min_line(node: A.Node) -> int:
 def brace_ranges(source_lines: list[str]) -> list[tuple[int, int]]:
     """Match ``{``/``}`` pairs with a stack (Algorithm 1 lines 15-18).
 
-    Returns (open_line, close_line) pairs, 1-based.  String/char
-    literals and comments are skipped so braces inside them don't break
-    the match.
+    Returns (open_line, close_line) pairs, 1-based: the lines' ``{``/``}``
+    punctuator tokens, so braces in literals and comments never count
+    (directive lines do: ``#define X {`` opens one).
     """
+    return brace_pairs(tokenize("\n".join(source_lines)))
+
+
+def brace_pairs(tokens: Iterable[Token]) -> list[tuple[int, int]]:
+    """:func:`brace_ranges` over an already-lexed raw token stream."""
     pairs: list[tuple[int, int]] = []
     stack: list[int] = []
-    in_block_comment = False
-    for line_no, raw in enumerate(source_lines, start=1):
-        index = 0
-        in_string: str | None = None
-        while index < len(raw):
-            char = raw[index]
-            if in_block_comment:
-                if raw.startswith("*/", index):
-                    in_block_comment = False
-                    index += 2
-                    continue
-                index += 1
-                continue
-            if in_string is not None:
-                if char == "\\":
-                    index += 2
-                    continue
-                if char == in_string:
-                    in_string = None
-                index += 1
-                continue
-            if raw.startswith("//", index):
-                break
-            if raw.startswith("/*", index):
-                in_block_comment = True
-                index += 2
-                continue
-            if char in "\"'":
-                in_string = char
-            elif char == "{":
-                stack.append(line_no)
-            elif char == "}" and stack:
-                pairs.append((stack.pop(), line_no))
-            index += 1
+    for tok in tokens:
+        if tok.kind is TokenKind.PUNCT:
+            if tok.text == "{":
+                stack.append(tok.line)
+            elif tok.text == "}" and stack:
+                pairs.append((stack.pop(), tok.line))
     return pairs
 
 
@@ -207,10 +187,11 @@ def extract_control_ranges(program: AnalyzedProgram,
 
     Memoized per program object: assembling one gadget per slicing
     criterion revisits the same functions dozens of times per file, and
-    the brace-matching pass re-lexes the *whole* source each call.
-    Programs are analyzed once and never mutated afterwards, so both
-    the brace pairs and each function's collected ranges are cached on
-    the instance (callers must not mutate the returned list).
+    the brace pairs cover the *whole* source.  Programs are analyzed
+    once and never mutated afterwards, so both the brace pairs (from
+    the source's one token stream) and each function's collected
+    ranges are cached on the instance (callers must not mutate the
+    returned list).
     """
     fn = program.unit.function(function)
     return [] if fn is None else _function_ranges(program, fn)
@@ -224,7 +205,7 @@ def _function_ranges(program: AnalyzedProgram,
     key = (fn.name, fn.line)
     if key not in cache:
         if program._brace_pairs is None:
-            program._brace_pairs = brace_ranges(program.source.lines)
+            program._brace_pairs = brace_pairs(program.source.tokens)
         cache[key] = _RangeCollector(fn, program._brace_pairs).collect()
     return cache[key]
 

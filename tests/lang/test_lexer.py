@@ -1,6 +1,6 @@
 """Unit tests for the C lexer."""
 
-from repro.lang.lexer import KEYWORDS, Lexer, Token, TokenKind, tokenize
+from repro.lang.lexer import KEYWORDS, Token, TokenKind, tokenize
 
 
 def kinds(source):
@@ -148,9 +148,3 @@ class TestHelpers:
         tok = Token(TokenKind.PUNCT, "{", 1, 1)
         assert tok.is_punct("{")
         assert not tok.is_punct("}")
-
-    def test_lexer_streaming_matches_tokenize(self):
-        source = "int main() { return 0; }"
-        streamed = [t for t in Lexer(source).tokens()]
-        assert [t.text for t in streamed] == \
-            [t.text for t in tokenize(source)]

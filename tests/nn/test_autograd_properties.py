@@ -2,7 +2,7 @@
 random shapes and random op chains."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.nn import Tensor
@@ -26,11 +26,19 @@ SMOOTH_OPS = {
 }
 
 
+#: largest |value| a drawn chain may reach.  ``exp`` of ``square``
+#: outputs can overflow float64 (``['square', 'square', 'exp', 'exp']``
+#: on a N(0, 1) draw does); past that the central difference has no
+#: finite reference to check against.
+CHAIN_BOUND = 1e6
+
+
 class TestRandomChains:
     @given(shape=shapes, seed=st.integers(0, 10_000),
            ops=st.lists(st.sampled_from(sorted(SMOOTH_OPS)),
                         min_size=1, max_size=4))
     @settings(max_examples=60, deadline=None)
+    @example(shape=(4, 4), seed=0, ops=["square", "square", "exp", "exp"])
     def test_chain_gradient_matches_numeric(self, shape, seed, ops):
         data = random_array(shape, seed)
 
@@ -39,6 +47,9 @@ class TestRandomChains:
                 tensor = SMOOTH_OPS[name](tensor)
             return tensor
 
+        with np.errstate(over="ignore"):
+            value = apply_chain(Tensor(data)).data
+        assume(np.all(np.abs(value) < CHAIN_BOUND))
         x = Tensor(data.copy(), requires_grad=True)
         apply_chain(x).sum().backward()
         numeric = numerical_gradient(
