@@ -27,7 +27,6 @@ from .core.extract import extract_gadgets
 from .datasets.manifest import TestCase
 from .datasets.nvd import generate_nvd_corpus
 from .datasets.sard import generate_sard_corpus
-from .nn.dtype import INFERENCE_DTYPES
 
 __all__ = ["main", "build_parser"]
 
@@ -139,17 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="scoring worker threads (default 2)")
     scan.add_argument("--batch-size", type=int, default=64,
                       help="micro-batch size for gadget scoring")
-    scan.add_argument("--dtype",
-                      choices=INFERENCE_DTYPES, default="float32",
-                      help="inference weight representation: int8 "
-                           "quantizes weight matrices per tensor; the "
-                           "accuracy cost is measured on a held-out "
-                           "calibration corpus and printed (default: "
-                           "float32, the training precision)")
-    scan.add_argument("--calibration-cases", type=int, default=24,
-                      help="held-out synthetic programs used to "
-                           "measure the quantization guardband when "
-                           "--dtype is reduced (default 24)")
     scan.add_argument("--jsonl", type=Path, default=None,
                       help="write one JSON record per case (verdicts; "
                            "in --diff/--watch mode: verdict deltas) "
@@ -428,13 +416,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     detector.load(args.model)
     if args.threshold is not None:
         detector.threshold = args.threshold
-    calibration = None
-    if args.dtype != "float32" \
-            and args.dtype != detector.inference_dtype:
-        # a held-out corpus (seed disjoint from train defaults) so the
-        # printed guardband is measured, not assumed
-        calibration = generate_sard_corpus(
-            max(args.calibration_cases, 1), seed=9091)
     fn_cache_dir = args.fn_cache_dir
     temp_fn_cache = None
     if fn_cache_dir is None and (args.diff is not None or args.watch):
@@ -445,8 +426,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         fn_cache_dir = Path(temp_fn_cache.name)
     try:
         with ScanService(detector, workers=args.workers,
-                         batch_size=args.batch_size, dtype=args.dtype,
-                         calibration=calibration,
+                         batch_size=args.batch_size,
                          fn_cache=fn_cache_dir) as service:
             if args.diff is not None:
                 return _cmd_scan_diff(args, service)
@@ -494,14 +474,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     print(f"scanned {len(verdicts)} case(s): {flagged} flagged, "
           f"{clean} clean, {skipped} skipped "
           f"({stats['cases_per_sec']:.1f} cases/s)")
-    report = detector.quantization_report
-    if report is not None:
-        print(f"  dtype={report.dtype}: weights "
-              f"{report.weights_nbytes_before} -> "
-              f"{report.payload_nbytes} bytes; guardband max "
-              f"|dprob|={report.max_abs_delta:.2e} "
-              f"verdict flips={report.flips}/"
-              f"{report.calibration_samples}")
     if args.stats:
         latency = stats["latency_seconds"]
         fill = stats["batch_fill"]
@@ -610,6 +582,13 @@ def _cmd_scan_watch(args: argparse.Namespace, service) -> int:
     return 0
 
 
+#: ``scan`` options that configure the in-process service; the daemon
+#: behind ``--connect`` runs with its own settings and never sees them.
+_IN_PROCESS_SCAN_OPTIONS = ("threshold", "workers", "batch_size",
+                            "cache_dir", "fn_cache_dir", "quarantine",
+                            "quarantine_retry_after", "requarantine")
+
+
 def _cmd_scan_connect(args: argparse.Namespace) -> int:
     """``scan --connect``: same files, same output, remote scoring."""
     import json
@@ -617,6 +596,15 @@ def _cmd_scan_connect(args: argparse.Namespace) -> int:
     from .core.ipc import ProtocolError, ScanClient
     from .core.serve import expand_scan_paths
 
+    defaults = build_parser().parse_args(["scan", "."])
+    ignored = ["--" + dest.replace("_", "-")
+               for dest in _IN_PROCESS_SCAN_OPTIONS
+               if getattr(args, dest) != getattr(defaults, dest)]
+    if ignored:
+        print(f"error: scan --connect uses the daemon's settings and "
+              f"would ignore {', '.join(ignored)}; drop them or scan "
+              f"in-process with --model", file=sys.stderr)
+        return 2
     files = expand_scan_paths(args.files)
     try:
         with ScanClient(args.connect) as client:

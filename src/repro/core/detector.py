@@ -19,8 +19,6 @@ import numpy as np
 from ..datasets.manifest import TestCase
 from ..embedding.vocab import Vocabulary
 from ..models.sevuldet import DECISION_THRESHOLD, SEVulDetNet
-from ..nn.dtype import INFERENCE_DTYPES, coerce_inference_dtype
-from ..nn.quantize import QuantizationReport, apply_inference_dtype
 from ..nn.serialize import load_model, save_model
 from ..slicing.normalize import NORMALIZE_VERSION
 from .config import Scale, current_scale
@@ -99,11 +97,6 @@ class SEVulDet:
     quarantine: object | None = None
     telemetry: Telemetry = field(default_factory=Telemetry)
     extraction_failures: list[CaseFailure] = field(default_factory=list)
-    #: Current weight representation: 'float32' (training precision)
-    #: or 'int8' (see :meth:`quantize`).
-    inference_dtype: str = "float32"
-    #: Measured guardband of the last :meth:`quantize` call.
-    quantization_report: QuantizationReport | None = None
 
     def run_context(self, *, checkpoint_dir: str | Path | None = None,
                     resume: bool = False) -> RunContext:
@@ -243,64 +236,14 @@ class SEVulDet:
         findings.sort(key=lambda f: -f.score)
         return findings
 
-    def quantize(self, dtype: str,
-                 calibration: Sequence[TestCase] | None = None
-                 ) -> QuantizationReport:
-        """Re-represent the trained weights at a reduced precision.
-
-        ``dtype`` is one of the inference dtypes (``float32`` is a
-        no-op cast back; ``int8`` quantizes weight matrices per tensor
-        — see :mod:`repro.nn.quantize`).  Quantization is lossy, so it only
-        runs from float32 weights: quantizing an already-quantized
-        detector raises instead of silently compounding error.
-
-        With a held-out ``calibration`` corpus the guardband is
-        *measured*, not assumed: the corpus is extracted and scored
-        before and after, and the report carries max/mean |Δprob| plus
-        the verdict-flip count at :attr:`threshold`.  The report is
-        also kept on :attr:`quantization_report`.
-        """
-        model, vocab = self._require_trained()
-        dtype = coerce_inference_dtype(dtype)
-        if self.inference_dtype != "float32" \
-                and dtype != self.inference_dtype:
-            raise ValueError(
-                f"detector weights are already {self.inference_dtype}; "
-                f"quantization is lossy and only runs from float32 — "
-                f"reload the float32 archive first")
-        gadgets = []
-        baseline = np.zeros(0)
-        if calibration:
-            gadgets = extract_gadgets(
-                list(calibration), kind=self.gadget_kind,
-                categories=self.categories, deduplicate=False,
-                cache=self.cache, telemetry=self.telemetry,
-                quarantine=self.quarantine)
-            baseline = self.score_gadgets(gadgets)
-        report = apply_inference_dtype(model, dtype)
-        if gadgets:
-            scores = self.score_gadgets(gadgets)
-            delta = np.abs(scores.astype(np.float64)
-                           - baseline.astype(np.float64))
-            flips = int(np.sum((scores >= self.threshold)
-                               != (baseline >= self.threshold)))
-            report.calibration_samples = len(gadgets)
-            report.max_abs_delta = float(delta.max())
-            report.mean_abs_delta = float(delta.mean())
-            report.flips = flips
-            report.flip_rate = flips / len(gadgets)
-        self.inference_dtype = dtype
-        self.quantization_report = report
-        return report
-
     def config_token(self) -> str:
         """Digest of everything that determines a case's verdict.
 
         Result caches (the scan service's LRU) key on
         ``(case fingerprint, config_token)``: model weights, decision
-        threshold, extraction settings, the inference dtype, and the
-        pipeline/normalizer versions all change the verdict, so any of
-        them changing must miss the cache.
+        threshold, extraction settings, and the pipeline/normalizer
+        versions all change the verdict, so any of them changing must
+        miss the cache.
         """
         model, vocab = self._require_trained()
         digest = hashlib.sha256()
@@ -310,7 +253,6 @@ class SEVulDet:
                       f"pipeline={PIPELINE_VERSION};"
                       f"normalize={NORMALIZE_VERSION};"
                       f"vocab={len(vocab)};"
-                      f"dtype={self.inference_dtype};"
                       f"typer={self.typer is not None}".encode())
         for name, array in sorted(model.state_dict().items()):
             digest.update(name.encode())
@@ -344,7 +286,6 @@ class SEVulDet:
             "rare_token_ids": rare_ids,
             "pipeline_version": PIPELINE_VERSION,
             "normalize_version": NORMALIZE_VERSION,
-            "inference_dtype": self.inference_dtype,
         })
 
     def load(self, path: str | Path) -> None:
@@ -355,8 +296,9 @@ class SEVulDet:
         version, or whose vocabulary disagrees with the stored
         embedding, are rejected with a ``ValueError`` naming the
         mismatch instead of surfacing as a downstream shape error or
-        silently mis-tokenized scans; so are archives tagged with an
-        inference dtype this code no longer supports (``float16``).
+        silently mis-tokenized scans; so are archives tagged with a
+        reduced-precision ``inference_dtype`` (``int8``, ``float16``),
+        which this code no longer reads.
         """
         import json
 
@@ -369,12 +311,11 @@ class SEVulDet:
                 archive["embedding.weight"].shape
                 if "embedding.weight" in archive.files else None)
         inference_dtype = metadata.get("inference_dtype", "float32")
-        if inference_dtype not in INFERENCE_DTYPES:
+        if inference_dtype != "float32":
             raise ValueError(
                 f"model archive {path} holds {inference_dtype} weights, "
-                f"which this code does not support (supported: "
-                f"{', '.join(INFERENCE_DTYPES)}); load the float32 "
-                f"archive it was quantized from instead")
+                f"but only float32 archives are supported; load the "
+                f"float32 archive it was quantized from instead")
         for field_name, current in (
                 ("pipeline_version", PIPELINE_VERSION),
                 ("normalize_version", NORMALIZE_VERSION)):
@@ -405,10 +346,6 @@ class SEVulDet:
         model = SEVulDetNet(len(vocab), dim=metadata["dim"],
                             channels=metadata["channels"])
         load_model(model, path)
-        # int8 archives already hold the dequantized float32 grid
-        # values, so only the tag is restored
-        self.inference_dtype = inference_dtype
-        self.quantization_report = None
         rare_ids = metadata.get("rare_token_ids", [])
         id_aliases = None
         if rare_ids:

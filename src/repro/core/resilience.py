@@ -296,12 +296,10 @@ _BEST_PREFIX = "best::"
 _MOMENT_KEY = re.compile(r"^([a-z]+?)(\d+)$")
 
 
-def _optim_key_to_name(key: str, param_names: list[str] | None) -> str:
+def _optim_key_to_name(key: str, param_names: list[str]) -> str:
     """Rewrite a positional moment key (``m0``) to a name-keyed one
     (``m::fc1.weight``); scalar keys (``t``) and keys with no matching
     name pass through unchanged."""
-    if param_names is None:
-        return key
     match = _MOMENT_KEY.match(key)
     if match is None:
         return key
@@ -312,14 +310,10 @@ def _optim_key_to_name(key: str, param_names: list[str] | None) -> str:
 
 
 def _optim_state_to_indices(optim_state: dict[str, np.ndarray],
-                            param_names: list[str] | None,
+                            param_names: list[str],
                             path) -> dict[str, np.ndarray]:
     """Translate name-keyed moment arrays (``m::fc1.weight``) back to
-    the positional keys the optimizer's ``load_state_dict`` expects.
-    Legacy archives (no ``param_names`` metadata, positional keys on
-    disk) pass through untouched."""
-    if not param_names:
-        return optim_state
+    the positional keys the optimizer's ``load_state_dict`` expects."""
     index_of = {name: i for i, name in enumerate(param_names)}
     translated: dict[str, np.ndarray] = {}
     for key, value in optim_state.items():
@@ -391,8 +385,7 @@ class TrainingCheckpoint:
              rng: np.random.Generator, losses: list[float],
              val_f1: list[float], best_epoch: int, best_f1: float,
              stale: int, best_state: dict[str, np.ndarray] | None,
-             config_token: str,
-             param_names: list[str] | None = None) -> None:
+             config_token: str, param_names: list[str]) -> None:
         """Persist the state reached after completing ``epoch``.
 
         ``param_names`` (dotted parameter names in optimizer order,
@@ -400,7 +393,7 @@ class TrainingCheckpoint:
         optimizer moment arrays by name — ``optim::m::fc1.weight`` —
         instead of the optimizer's positional ``m0``/``v0`` keys, so an
         archive stays readable if parameter *order* shifts but names do
-        not.  Without names the positional keys are stored as before.
+        not.
         """
         from ..nn.serialize import save_npz_atomic
 
@@ -436,8 +429,9 @@ class TrainingCheckpoint:
         """Read the checkpoint back; None when there is none yet.
 
         Raises ``ValueError`` with the offending field named when the
-        archive belongs to a different checkpoint format version or —
-        if ``config_token`` is given — to a run with different
+        archive belongs to a different checkpoint format version, has
+        no ``param_names`` to key its optimizer moments by, or — if
+        ``config_token`` is given — belongs to a run with different
         hyper-parameters, instead of resuming into silent divergence.
         """
         if not self.path.exists():
@@ -461,8 +455,14 @@ class TrainingCheckpoint:
                 f"checkpoint {self.path} has format version {version!r} "
                 f"but this code writes version {CHECKPOINT_VERSION}; "
                 f"delete it (or finish the run with matching code)")
+        param_names = metadata.get("param_names")
+        if not param_names:
+            raise ValueError(
+                f"checkpoint {self.path} has no param_names, so its "
+                f"optimizer moments cannot be matched to parameters; "
+                f"delete it and restart the run")
         optim_state = _optim_state_to_indices(
-            optim_state, metadata.get("param_names"), self.path)
+            optim_state, param_names, self.path)
         saved_token = metadata.get("config_token", "")
         if config_token is not None and saved_token != config_token:
             raise ValueError(

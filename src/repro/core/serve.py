@@ -50,7 +50,6 @@ import numpy as np
 
 from ..datasets.manifest import TestCase
 from ..nn import no_grad
-from ..nn.dtype import coerce_inference_dtype
 from .detector import Finding, SEVulDet
 from .extract import CaseResult, CorpusExtractor, _make_config
 from .score import pack_rows
@@ -382,8 +381,6 @@ class ScanService:
                  result_cache_size: int = 1024,
                  result_cache: ResultCache | None = None,
                  telemetry: Telemetry | None = None,
-                 dtype: str | None = None,
-                 calibration: Sequence[TestCase] | None = None,
                  fn_cache=None):
         if detector.case_timeout is not None:
             # serial extraction (the default) runs on the
@@ -394,11 +391,6 @@ class ScanService:
                 "ScanService cannot enforce case_timeout: extraction "
                 "runs off the main thread; unset detector.case_timeout")
         model, self._vocab = detector._require_trained()
-        # Reduced-precision serving: quantize before the config token
-        # is computed, so cached verdicts can never cross dtypes.
-        if dtype is not None and \
-                coerce_inference_dtype(dtype) != detector.inference_dtype:
-            detector.quantize(dtype, calibration)
         model.eval()  # deterministic scoring: dropout off, once
         self.detector = detector
         # Service-lifetime telemetry: stats() reflects this service's

@@ -55,21 +55,10 @@ def _train_config_token(params, *, batch_size: int, lr: float,
             f"balance={int(class_balance)};params={digest}")
 
 
-def _param_names(model: Module, params) -> list[str] | None:
-    """Dotted parameter names in optimizer order, or None when the
-    model cannot name every optimizer parameter (e.g. the optimizer
-    was built over a superset)."""
-    named = getattr(model, "named_parameters", None)
-    if named is None:
-        return None
-    by_id = {id(param): name for name, param in named()}
-    names = []
-    for param in params:
-        name = by_id.get(id(param))
-        if name is None:
-            return None
-        names.append(name)
-    return names
+def _param_names(model: Module, params) -> list[str]:
+    """Dotted parameter names in optimizer order."""
+    by_id = {id(param): name for name, param in model.named_parameters()}
+    return [by_id[id(param)] for param in params]
 
 
 def train_classifier(model: Module, samples: Sequence[Sample], *,

@@ -39,10 +39,6 @@ replicates the Tensor ops' exact float semantics — e.g. relu is
 mean is ``sum * dtype(1/n)`` (not ``np.mean``).  Sums reduce over
 the same memory layout as the graph's: positions outer, channels
 contiguous.
-
-**Reduced precision**: int8-quantized models (see
-:mod:`repro.nn.quantize`) arrive here as dequantized float32 arrays,
-so they take the plain float32 path.
 """
 
 from __future__ import annotations
@@ -119,8 +115,8 @@ class InferenceKernel:
 
     Stateless between calls, so concurrent ``predict_proba`` calls
     (the thread scorer) are safe.  Weight rebinding
-    (``load_state_dict``, quantization) is picked up automatically —
-    weights are read from the live parameters on every call.
+    (``load_state_dict``) is picked up automatically — weights are
+    read from the live parameters on every call.
     """
 
     def __init__(self, net):

@@ -91,11 +91,9 @@ class SEVulDetNet(Module):
         ``token_ids[b, :lengths[b]]``), and a row's logit is bitwise
         the same in any pack.  Bit-identical to ``forward(ids).data``
         at float32 for equal-length rows (pinned by
-        ``tests/models/test_fused.py``); under int8 weights it is the
-        measured-guardband path (see
-        :meth:`repro.core.detector.SEVulDet.quantize`).  Dropout is
-        treated as identity, so callers must be in eval mode — exactly
-        the regime :meth:`predict_proba` routes through it.
+        ``tests/models/test_fused.py``).  Dropout is treated as
+        identity, so callers must be in eval mode — exactly the regime
+        :meth:`predict_proba` routes through it.
         """
         kernel = self._infer_kernel
         if kernel is None:

@@ -11,11 +11,6 @@ environment restores the old behavior process-wide.
 Persisted archives are dtype-agnostic: ``load_state_dict`` casts
 whatever was saved into the active default, so a float64-trained model
 loads cleanly into a float32 session and vice versa.
-
-Inference dtypes are a separate, wider vocabulary
-(:data:`INFERENCE_DTYPES`): ``int8`` is a weight-quantization scheme
-(per-tensor scale/zero-point, dequantized into float32 for the
-matmuls), not a compute dtype — it can never become the default.
 """
 
 from __future__ import annotations
@@ -26,16 +21,9 @@ from typing import Iterator
 import numpy as np
 from contextlib import contextmanager
 
-__all__ = ["get_default_dtype", "set_default_dtype", "default_dtype",
-           "INFERENCE_DTYPES", "coerce_inference_dtype"]
+__all__ = ["get_default_dtype", "set_default_dtype", "default_dtype"]
 
 _ALLOWED = (np.float32, np.float64)
-
-#: Inference-time weight representations accepted by ``scan --dtype``
-#: and :meth:`repro.core.detector.SEVulDet.quantize`.  ``int8`` is a
-#: quantization scheme (stored scale/zero-point per tensor), so it is
-#: valid here but *not* a default compute dtype.
-INFERENCE_DTYPES = ("float32", "int8")
 
 
 def _coerce(dtype) -> np.dtype:
@@ -45,15 +33,6 @@ def _coerce(dtype) -> np.dtype:
             f"unsupported compute dtype {dtype!r}; choose float32 or "
             f"float64")
     return resolved
-
-
-def coerce_inference_dtype(name: str) -> str:
-    """Validate an inference dtype name (``scan --dtype`` values)."""
-    if name not in INFERENCE_DTYPES:
-        raise ValueError(
-            f"unsupported inference dtype {name!r}; choose from "
-            f"{', '.join(INFERENCE_DTYPES)}")
-    return name
 
 
 _DEFAULT_DTYPE = _coerce(os.environ.get("REPRO_DTYPE", "float32"))

@@ -9,19 +9,13 @@ or the new complete file — never a torn archive.
 from __future__ import annotations
 
 import json
-import re
 from pathlib import Path
 
 import numpy as np
 
-from .dtype import get_default_dtype
 from .layers import Module
 
 __all__ = ["save_npz_atomic", "save_model", "load_model"]
-
-#: Key style of archives written before parameters had names:
-#: ``param0`` .. ``paramN`` in :meth:`Module.parameters` order.
-_LEGACY_KEY = re.compile(r"^param\d+$")
 
 
 def save_npz_atomic(path: str | Path, arrays: dict,
@@ -51,10 +45,8 @@ def load_model(model: Module, path: str | Path) -> dict:
     """Load parameters into ``model``; returns saved metadata (or {}).
 
     Archives written by :func:`save_model` are keyed by dotted
-    parameter names (``fc1.weight``).  Older archives keyed
-    positionally (``param0`` .. ``paramN``) still load: the arrays are
-    assigned to :meth:`Module.parameters` in order, which is exactly
-    how they were written.
+    parameter names (``fc1.weight``); ``load_state_dict`` raises
+    ``KeyError`` naming any parameter the archive lacks.
     """
     path = Path(path)
     with np.load(path) as archive:
@@ -65,26 +57,5 @@ def load_model(model: Module, path: str | Path) -> dict:
                 metadata = json.loads(archive[key].tobytes().decode())
             else:
                 state[key] = archive[key]
-    if state and all(_LEGACY_KEY.match(key) for key in state):
-        _load_legacy_state(model, state, path)
-    else:
-        model.load_state_dict(state)
+    model.load_state_dict(state)
     return metadata
-
-
-def _load_legacy_state(model: Module, state: dict, path: Path) -> None:
-    params = list(model.parameters())
-    if len(state) != len(params):
-        raise ValueError(
-            f"legacy archive {path} holds {len(state)} parameter "
-            f"arrays but the model has {len(params)}")
-    for index, param in enumerate(params):
-        key = f"param{index}"
-        if key not in state:
-            raise KeyError(f"legacy archive {path} missing {key}")
-        array = np.asarray(state[key], dtype=get_default_dtype())
-        if array.shape != param.data.shape:
-            raise ValueError(
-                f"shape mismatch for {key}: "
-                f"{array.shape} vs {param.data.shape}")
-        param.data = array.copy()

@@ -289,49 +289,32 @@ class TestNameKeyedCheckpoints:
             assert np.array_equal(state.optim_state[key],
                                   expected[key]), key
 
-    def test_legacy_positional_checkpoint_resumes(self, dataset,
-                                                  tmp_path):
-        """Archives written without param_names still resume exactly."""
+    def test_checkpoint_without_param_names_is_refused(self, dataset,
+                                                       tmp_path):
+        """A checkpoint whose metadata lacks param_names cannot match
+        its optimizer moments to parameters, so load refuses it."""
         import json
 
         from repro.nn.serialize import save_npz_atomic
 
-        baseline = fresh_model(dataset)
-        train_classifier(baseline, dataset.samples, epochs=4, seed=5)
-        expected = state_of(baseline)
-
-        victim = fresh_model(dataset)
-        with faults.injected("raise@train-batch:2.0"):
-            with pytest.raises(RuntimeError):
-                train_classifier(victim, dataset.samples, epochs=4,
-                                 seed=5, checkpoint_dir=tmp_path)
-
-        # Rewrite the checkpoint in the legacy format: positional
-        # optimizer keys, no param_names metadata.
+        train_classifier(fresh_model(dataset), dataset.samples,
+                         epochs=1, seed=5, checkpoint_dir=tmp_path)
         path = tmp_path / "checkpoint.npz"
         with np.load(path) as archive:
             metadata = json.loads(
                 archive["__metadata__"].tobytes().decode())
             arrays = {k: archive[k] for k in archive.files
                       if k != "__metadata__"}
-        names = metadata.pop("param_names")
-        assert names  # the new writer recorded them
-        index_of = {name: i for i, name in enumerate(names)}
-        legacy = {}
-        for key, value in arrays.items():
-            if key.startswith("optim::") and "::" in key[7:]:
-                kind, name = key[7:].split("::", 1)
-                key = f"optim::{kind}{index_of[name]}"
-            legacy[key] = value
-        metadata["param_names"] = None
-        save_npz_atomic(path, legacy, metadata)
+        assert metadata.pop("param_names")  # the writer recorded them
+        save_npz_atomic(path, arrays, metadata)
 
-        resumed = fresh_model(dataset)
-        report = train_classifier(resumed, dataset.samples, epochs=4,
-                                  seed=5, checkpoint_dir=tmp_path,
-                                  resume=True)
-        assert len(report.losses) == 4
-        assert_states_equal(state_of(resumed), expected)
+        with pytest.raises(ValueError, match="param_names") as error:
+            TrainingCheckpoint(tmp_path).load()
+        assert str(path) in str(error.value)
+        with pytest.raises(ValueError, match="param_names"):
+            train_classifier(fresh_model(dataset), dataset.samples,
+                             epochs=2, seed=5, checkpoint_dir=tmp_path,
+                             resume=True)
 
     def test_unknown_name_rejected_as_corrupt(self, tmp_path):
         from repro.core.resilience import _optim_state_to_indices

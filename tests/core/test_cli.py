@@ -47,6 +47,44 @@ class TestParser:
             build_parser().parse_args(["--scale", "galactic", "train",
                                        "--out", "m.npz"])
 
+    def test_dtype_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["scan", "x.c", "--model", "m.npz",
+                                       "--dtype", "int8"])
+
+
+class TestScanConnectFlags:
+    """``scan --connect`` scores with the daemon's settings, so flags
+    that only configure the in-process service are refused."""
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--threshold", "0.1"], ["--threshold"]),
+        (["--workers", "4", "--requarantine"],
+         ["--workers", "--requarantine"]),
+        (["--quarantine", "q.jsonl", "--cache-dir", "c"],
+         ["--cache-dir", "--quarantine"]),
+    ])
+    def test_in_process_flags_refused(self, tmp_path, capsys, flags,
+                                      named):
+        source = tmp_path / "vuln.c"
+        source.write_text(VULN_SOURCE)
+        address = str(tmp_path / "absent.sock")
+        code = main(["scan", str(source), "--connect", address] + flags)
+        assert code == 2
+        err = capsys.readouterr().err
+        for flag in named:
+            assert flag in err
+        assert "scan server at" not in err  # refused before connecting
+
+    def test_parser_defaults_still_connect(self, tmp_path, capsys):
+        source = tmp_path / "vuln.c"
+        source.write_text(VULN_SOURCE)
+        address = str(tmp_path / "absent.sock")
+        code = main(["scan", str(source), "--connect", address,
+                     "--workers", "2"])
+        assert code == 2
+        assert "scan server at" in capsys.readouterr().err
+
 
 class TestGadgetsCommand:
     def test_prints_gadgets(self, tmp_path, capsys):

@@ -145,87 +145,26 @@ class TestAttentionHookConsistency:
             assert abs(sum(by_line.values()) - 1.0) < 1e-6
 
 
-class TestQuantization:
-    """Reduced-precision detector weights (quantize/save/load/token)."""
+class TestWeightFormat:
+    """Model archives hold float32 weights and nothing else."""
 
-    @pytest.fixture()
-    def fresh(self, trained, tmp_path):
-        """A private float32 copy of the trained detector — the module
-        fixture is shared, so quantization must not mutate it."""
-        path = tmp_path / "detector.npz"
+    @pytest.mark.parametrize("dtype", ["float16", "int8"])
+    def test_reduced_precision_archive_is_rejected_on_load(
+            self, trained, tmp_path, dtype):
+        # archives tagged with a reduced-precision inference dtype by
+        # older code must fail loudly, naming the dtype
+        import json
+
+        from repro.nn.serialize import save_npz_atomic
+
+        path = tmp_path / f"{dtype}.npz"
         trained.save(path)
-        detector = SEVulDet(scale=trained.scale)
-        detector.load(path)
-        return detector
-
-    def test_int8_dequantizes_to_float32_grid(self, fresh):
-        report = fresh.quantize("int8",
-                                generate_sard_corpus(10, seed=9091))
-        assert fresh.inference_dtype == "int8"
-        assert report.per_tensor  # every weight matrix recorded
-        assert report.payload_nbytes < report.weights_nbytes_before
-        # per-tensor int8 is coarse (the embedding matrix dominates):
-        # individual probabilities can move visibly, but the verdict
-        # contract — no flips at the operating threshold — must hold
-        assert report.mean_abs_delta < 2e-2
-        assert report.flips == 0
-        assert all(p.data.dtype == np.float32
-                   for p in fresh.model.parameters())
-
-    def test_config_token_depends_on_inference_dtype(self, fresh):
-        before = fresh.config_token()
-        fresh.inference_dtype = "int8"  # tag alone must miss caches
-        assert fresh.config_token() != before
-
-    def test_double_quantization_raises(self, fresh):
-        fresh.quantize("int8")
-        with pytest.raises(ValueError, match="already int8"):
-            fresh.quantize("float32")
-        # re-applying the same dtype is allowed (idempotent)
-        fresh.quantize("int8")
-
-    def test_unknown_dtype_rejected(self, fresh):
-        with pytest.raises(ValueError):
-            fresh.quantize("bfloat16")
-
-    def test_float16_archive_is_rejected_on_load(self, fresh, tmp_path):
-        # float16 inference weights are no longer supported: an archive
-        # tagged with them must fail loudly, naming the dtype
-        fresh.inference_dtype = "float16"
-        path = tmp_path / "f16.npz"
-        fresh.save(path)
-        with pytest.raises(ValueError, match="float16"):
-            SEVulDet(scale=fresh.scale).load(path)
-
-    def test_quantized_save_load_roundtrip(self, fresh, tmp_path):
-        fresh.quantize("int8")
-        saved_state = {k: v.copy()
-                       for k, v in fresh.model.state_dict().items()}
-        path = tmp_path / "int8.npz"
-        fresh.save(path)
-        restored = SEVulDet(scale=fresh.scale)
-        restored.load(path)
-        assert restored.inference_dtype == "int8"
-        for key, value in restored.model.state_dict().items():
-            assert value.dtype == saved_state[key].dtype, key
-            assert np.array_equal(value, saved_state[key]), key
-        case = generate_case(TEMPLATES[0], vulnerable=True, seed=995)
-        original = [(f.line, f.score) for f in fresh.detect_case(case)]
-        loaded = [(f.line, f.score)
-                  for f in restored.detect_case(case)]
-        assert original == loaded
-
-    def test_scan_service_quantizes_and_keys_cache(self, fresh,
-                                                   trained):
-        from repro.core.serve import ScanService
-
-        calibration = generate_sard_corpus(6, seed=9091)
-        with ScanService(fresh, workers=1, dtype="int8",
-                         calibration=calibration) as service:
-            assert fresh.inference_dtype == "int8"
-            assert fresh.quantization_report is not None
-            assert service.config_token != trained.config_token()
-            case = generate_case(TEMPLATES[0], vulnerable=True,
-                                 seed=994)
-            verdict = service.scan_case(case)
-            assert verdict.status in ("flagged", "clean")
+        with np.load(path) as archive:
+            metadata = json.loads(
+                archive["__metadata__"].tobytes().decode())
+            arrays = {k: archive[k] for k in archive.files
+                      if k != "__metadata__"}
+        metadata["inference_dtype"] = dtype
+        save_npz_atomic(path, arrays, metadata)
+        with pytest.raises(ValueError, match=dtype):
+            SEVulDet(scale=trained.scale).load(path)

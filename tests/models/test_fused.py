@@ -1,9 +1,7 @@
 """Golden pins for the fused inference forward (repro.models.fused).
 
 The contract: ``forward_inference`` is *bitwise* identical to the
-autograd ``forward`` at float32, and stays within a measured guardband
-under the reduced-precision weight representations
-(:mod:`repro.nn.quantize`).  These tests are what lets
+autograd ``forward`` at float32.  These tests are what lets
 ``predict_proba`` route every eval-mode scoring call through the fused
 kernel without re-validating the serve/engine byte-identity pins.
 """
@@ -15,7 +13,6 @@ import pytest
 
 from repro.models.sevuldet import SEVulDetNet
 from repro.nn import default_dtype, no_grad
-from repro.nn.quantize import apply_inference_dtype
 
 
 def build(seed=1, vocab=40, dim=12, channels=8, **kw):
@@ -117,34 +114,11 @@ class TestBitIdentityFloat32:
 
 
 class TestReducedPrecisionGuardband:
-    def _probs(self, net, ids):
-        with no_grad():
-            return net.predict_proba(ids).astype(np.float64)
-
-    @pytest.mark.parametrize("dtype,tolerance", [("int8", 2e-2)])
-    def test_delta_vs_float32_is_bounded(self, dtype, tolerance):
-        net = build()
-        ids = batch(np.random.default_rng(7), shape=(8, 15))
-        base = self._probs(net, ids)
-        apply_inference_dtype(net, dtype)
-        delta = np.abs(self._probs(net, ids) - base)
-        assert delta.max() < tolerance
-
-    def test_int8_dequantizes_into_float32(self):
-        net = build()
-        apply_inference_dtype(net, "int8")
-        for param in net.parameters():
-            assert param.data.dtype == np.float32
-        ids = batch(np.random.default_rng(9))
-        with no_grad():
-            assert net.predict_proba(ids).dtype == np.float32
-
     def test_weight_rebind_is_picked_up(self):
         """The kernel reads the live parameters on every call, so
-        rebinding weights (quantization, load_state_dict) takes
-        effect on the next forward."""
+        rebinding weights (load_state_dict) takes effect on the next
+        forward."""
         net = build()
-        apply_inference_dtype(net, "int8")
         ids = batch(np.random.default_rng(10))
         with no_grad():
             before = net.forward_inference(ids)

@@ -13,7 +13,7 @@ import pytest
 
 from repro.nn import (Tensor, default_dtype, get_default_dtype,
                       load_model, save_model, set_default_dtype)
-from repro.nn.dtype import _coerce, coerce_inference_dtype
+from repro.nn.dtype import _coerce
 from repro.models.sevuldet import SEVulDetNet
 
 
@@ -53,17 +53,6 @@ class TestPolicy:
     def test_float16_is_not_a_supported_dtype(self):
         with pytest.raises(ValueError):
             set_default_dtype(np.float16)
-        with pytest.raises(ValueError):
-            coerce_inference_dtype("float16")
-
-    def test_inference_dtype_vocabulary(self):
-        from repro.nn import INFERENCE_DTYPES, coerce_inference_dtype
-        for name in INFERENCE_DTYPES:
-            assert coerce_inference_dtype(name) == name
-        with pytest.raises(ValueError):
-            coerce_inference_dtype("float64")
-        with pytest.raises(ValueError):
-            coerce_inference_dtype("bfloat16")
 
     def test_gradients_match_parameter_dtype(self):
         with default_dtype(np.float32):

@@ -2,6 +2,8 @@
 
 import importlib
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -96,3 +98,31 @@ def test_frontend_loads_no_third_party_module_but_numpy():
                           timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == ""
+
+
+def _readme_cli_lines() -> list[str]:
+    """Every ``python -m repro ...`` command in README's shell blocks,
+    with ``\\`` continuations joined and a trailing ``&`` dropped."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```bash\n(.*?)```", readme.read_text(),
+                        flags=re.S)
+    lines = []
+    for block in blocks:
+        for line in block.replace("\\\n", " ").splitlines():
+            line = line.strip()
+            if line.startswith("python -m repro "):
+                lines.append(line.removesuffix("&").strip())
+    return lines
+
+
+def test_readme_has_cli_examples():
+    assert len(_readme_cli_lines()) >= 5
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_example_parses(line):
+    """README advertises no flag or subcommand the parser lacks."""
+    from repro.cli import build_parser
+
+    argv = shlex.split(line, comments=True)[3:]
+    build_parser().parse_args(argv)
