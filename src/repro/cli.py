@@ -387,12 +387,23 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     return 0
 
 
+def _scan_files(paths: list[Path]) -> list[Path] | None:
+    """The files ``scan`` walks, or None after an ``error:`` line
+    naming a path that does not exist."""
+    from .core.serve import expand_scan_paths
+
+    try:
+        return expand_scan_paths(paths)
+    except FileNotFoundError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return None
+
+
 def _cmd_scan(args: argparse.Namespace) -> int:
     import json
     import tempfile
 
-    from .core.serve import ScanService, case_for_file, \
-        expand_scan_paths
+    from .core.serve import ScanService, case_for_file
 
     if (args.model is None) == (args.connect is None):
         print("error: scan needs exactly one of --model (in-process) "
@@ -408,6 +419,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         return 2
     if args.connect is not None:
         return _cmd_scan_connect(args)
+    files = None
+    if args.diff is None and not args.watch:
+        files = _scan_files(args.files)
+        if files is None:
+            return 2
 
     ctx = _run_context(args)  # scan --workers = scorer threads
     detector = SEVulDet(scale=_resolve_scale(args),
@@ -432,7 +448,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                 return _cmd_scan_diff(args, service)
             if args.watch:
                 return _cmd_scan_watch(args, service)
-            files = expand_scan_paths(args.files)
             cases = [case_for_file(path) for path in files]
             exit_code = 0
             verdicts = []
@@ -479,7 +494,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         fill = stats["batch_fill"]
         depth = stats["queue_depth"]
         cache = stats["result_cache"]
-        print(f"  scored {stats['scored_gadgets']} gadget(s) in "
+        print(f"  scored {stats['scored_gadgets']} gadget(s) as "
+              f"{stats['scored_rows']} distinct row(s) in "
               f"{stats['batches']} batch(es)")
         if latency.get("count"):
             print(f"  case latency p50={latency['p50'] * 1e3:.1f}ms "
@@ -594,7 +610,6 @@ def _cmd_scan_connect(args: argparse.Namespace) -> int:
     import json
 
     from .core.ipc import ProtocolError, ScanClient
-    from .core.serve import expand_scan_paths
 
     defaults = build_parser().parse_args(["scan", "."])
     ignored = ["--" + dest.replace("_", "-")
@@ -605,7 +620,9 @@ def _cmd_scan_connect(args: argparse.Namespace) -> int:
               f"would ignore {', '.join(ignored)}; drop them or scan "
               f"in-process with --model", file=sys.stderr)
         return 2
-    files = expand_scan_paths(args.files)
+    files = _scan_files(args.files)
+    if files is None:
+        return 2
     try:
         with ScanClient(args.connect) as client:
             responses = client.scan_paths(files)
@@ -660,6 +677,10 @@ def _cmd_scan_connect(args: argparse.Namespace) -> int:
         print(f"  resilience: {server['deadline_expired']} "
               f"deadline-expired, {server['conn_drops']} "
               f"conn drop(s)")
+        if service:
+            print(f"  scored {service['scored_gadgets']} gadget(s) as "
+                  f"{service['scored_rows']} distinct row(s) in "
+                  f"{service['batches']} batch(es)")
         if fill.get("count"):
             print(f"  batch fill mean={fill['mean']:.2f} "
                   f"p95={fill['p95']:.2f}")

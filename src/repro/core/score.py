@@ -5,7 +5,9 @@ the batched scan service — all of which must agree on the padding
 contract (:data:`SCORE_MIN_LENGTH`) or scores drift between paths.
 A flexible-length model scores ragged packs (:func:`pack_rows`), and
 a row's score depends only on its own ids, so any batcher that keeps
-the contract gets bitwise the same scores.
+the contract gets bitwise the same scores — and a row that repeats
+(Step III normalizes many gadgets to the same tokens) is scored once
+(:func:`distinct_rows`) and its score copied to every repeat.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from ..eval.metrics import Metrics, confusion_from, metrics_from
 from ..nn import Module, Sample, get_default_dtype, no_grad, pad_or_truncate
 from ..nn.data import PAD_ID
 
-__all__ = ["SCORE_MIN_LENGTH", "output_dtype", "pack_rows",
-           "predict_proba", "evaluate_classifier"]
+__all__ = ["SCORE_MIN_LENGTH", "output_dtype", "distinct_rows",
+           "pack_rows", "predict_proba", "evaluate_classifier"]
 
 #: Minimum padded sample length fed to the flexible-length model: the
 #: conv kernel (3) plus SPP need a floor, and padding to it is part of
@@ -35,6 +37,21 @@ def output_dtype(model: Module) -> np.dtype:
     for param in model.parameters():
         return param.data.dtype
     return get_default_dtype()
+
+
+def distinct_rows(rows: Sequence[Sequence[int]]
+                  ) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The distinct token-id rows in first-seen order, plus the
+    ``(len(rows),)`` index of each row's copy among them, so
+    ``distinct[inverse[i]] == tuple(rows[i])``.
+
+    A flexible-length model's score for a row depends on its ids
+    alone, so scoring ``distinct`` and taking ``scores[inverse]`` is
+    bitwise the same as scoring every row.
+    """
+    slots: dict[tuple[int, ...], int] = {}
+    inverse = [slots.setdefault(tuple(row), len(slots)) for row in rows]
+    return list(slots), np.array(inverse, dtype=np.intp)
 
 
 def pack_rows(rows: Sequence[Sequence[int]]
@@ -58,29 +75,32 @@ def predict_proba(model: Module, samples: Sequence[Sample],
                   batch_size: int = 128) -> np.ndarray:
     """Sigmoid scores per sample (order-preserving).
 
-    Inference runs under ``no_grad`` in chunks of ``batch_size``
-    samples taken in corpus order.  A flexible-length model scores
-    each chunk as one ragged pack, whatever its lengths; a
-    fixed-length model gets Definition 8's padded/truncated rows.  The
-    accumulator is allocated in the model's own output dtype
-    (:func:`output_dtype`), so scores are not up-cast per batch.
+    Inference runs under ``no_grad`` in chunks of ``batch_size`` rows
+    taken in corpus order.  A flexible-length model scores each
+    distinct row once (:func:`distinct_rows`), each chunk as one
+    ragged pack whatever its lengths, and every sample gets its row's
+    score.  A fixed-length model gets Definition 8's padded/truncated
+    rows, every sample scored.  The accumulator is allocated in the
+    model's own output dtype (:func:`output_dtype`), so scores are not
+    up-cast per batch.
     """
     fixed = getattr(model, "fixed_length", None)
-    scores = np.zeros(len(samples), dtype=output_dtype(model))
+    if fixed is None:
+        rows, inverse = distinct_rows([s.token_ids for s in samples])
+    else:
+        rows = [pad_or_truncate(s.token_ids, fixed) for s in samples]
+    scores = np.zeros(len(rows), dtype=output_dtype(model))
     model.eval()
     with no_grad():
-        for start in range(0, len(samples), batch_size):
-            chunk = samples[start : start + batch_size]
+        for start in range(0, len(rows), batch_size):
+            chunk = rows[start : start + batch_size]
             if fixed is not None:
-                ids = np.array(
-                    [pad_or_truncate(s.token_ids, fixed) for s in chunk],
-                    dtype=np.int64)
-                scores[start : start + batch_size] = \
-                    model.predict_proba(ids)
+                scores[start : start + batch_size] = model.predict_proba(
+                    np.array(chunk, dtype=np.int64))
             else:
                 scores[start : start + batch_size] = model.predict_proba(
-                    *pack_rows([s.token_ids for s in chunk]))
-    return scores
+                    *pack_rows(chunk))
+    return scores if fixed is not None else scores[inverse]
 
 
 def evaluate_classifier(model: Module, samples: Sequence[Sample],

@@ -14,12 +14,13 @@ editor integrations):
   cases are skipped up front;
 * gadget scoring flows through a micro-batching
   :class:`ThreadScorer`: submissions from any number of cases are
-  drained from a bounded queue and scored, in drain order, as ragged
-  packs of up to ``batch_size`` rows of mixed lengths under
-  ``no_grad``.  The model's scoring kernel makes a row's score depend
-  only on its own token ids (fixed-shape product tiles, per-row
-  reductions), never on which pack it lands in, its position there or
-  its neighbours: verdicts are byte-identical to serial
+  drained from a bounded queue and their distinct token rows scored
+  once each, in drain order, as ragged packs of up to ``batch_size``
+  rows of mixed lengths under ``no_grad``.  The model's scoring
+  kernel makes a row's score depend only on its own token ids
+  (fixed-shape product tiles, per-row reductions), never on which
+  pack it lands in, its position there or its neighbours: verdicts
+  are byte-identical to serial
   :meth:`~repro.core.detector.SEVulDet.detect_case` calls at any
   batch size (pinned by ``tests/core/test_serve.py`` and
   ``tests/models/test_batch_invariance.py``);
@@ -52,7 +53,7 @@ from ..datasets.manifest import TestCase
 from ..nn import no_grad
 from .detector import Finding, SEVulDet
 from .extract import CaseResult, CorpusExtractor, _make_config
-from .score import pack_rows
+from .score import distinct_rows, pack_rows
 from .telemetry import Telemetry
 
 __all__ = ["CaseVerdict", "ResultCache", "ScanService", "ThreadScorer",
@@ -239,13 +240,15 @@ class ThreadScorer:
     threads blocks for one, then greedily takes more until it holds
     ``batch_size * 4`` rows — under load packs fill to
     ``batch_size``, under trickle traffic a lone case is scored
-    immediately (no latency-vs-throughput timer to tune).  Rows from
-    all drained cases are taken in drain order and scored in ragged
-    packs (:func:`~repro.core.score.pack_rows`) of up to
-    ``batch_size`` rows of any lengths under ``no_grad``.  A row's
-    score does not depend on its pack, so scores are byte-identical to
-    :func:`~repro.core.score.predict_proba` however submissions
-    interleave.
+    immediately (no latency-vs-throughput timer to tune).  The
+    distinct rows of all drained cases
+    (:func:`~repro.core.score.distinct_rows`) are taken in drain order
+    and scored in ragged packs (:func:`~repro.core.score.pack_rows`)
+    of up to ``batch_size`` rows of any lengths under ``no_grad``;
+    each score goes to every gadget of the drain that shares the row.
+    A row's score does not depend on its pack, so scores are
+    byte-identical to :func:`~repro.core.score.predict_proba` however
+    submissions interleave.
     """
 
     def __init__(self, model, batch_size: int, workers: int,
@@ -312,15 +315,21 @@ class ThreadScorer:
         return jobs
 
     def _packs(self, jobs: list[_Pending]
-               ) -> Iterator[tuple[list[tuple[_Pending, int]],
+               ) -> Iterator[tuple[list[list[tuple[_Pending, int]]],
                                    tuple[np.ndarray, np.ndarray]]]:
-        """Chunk drained rows, in drain order, into ragged packs."""
+        """Chunk the drain's distinct rows, in drain order, into
+        ragged packs; each pack comes with the ``(pending, index)``
+        owners of each of its rows."""
         entries = [(pending, index) for pending in jobs
                    for index in range(len(pending.rows))]
-        for start in range(0, len(entries), self.batch_size):
-            chunk = entries[start : start + self.batch_size]
-            yield chunk, pack_rows(
-                [pending.rows[index] for pending, index in chunk])
+        rows, inverse = distinct_rows(
+            [pending.rows[index] for pending, index in entries])
+        owners: list[list[tuple[_Pending, int]]] = [[] for _ in rows]
+        for entry, slot in zip(entries, inverse):
+            owners[slot].append(entry)
+        for start in range(0, len(rows), self.batch_size):
+            yield (owners[start : start + self.batch_size],
+                   pack_rows(rows[start : start + self.batch_size]))
 
     def _worker(self) -> None:
         while True:
@@ -328,20 +337,24 @@ class ThreadScorer:
             if jobs is None:
                 return
             with no_grad():
-                for chunk, pack in self._packs(jobs):
+                for owners, pack in self._packs(jobs):
                     try:
                         scores = self.model.predict_proba(*pack)
                     except BaseException as error:  # surface to caller
-                        for pending, _ in chunk:
-                            pending._fail(error)
+                        for row_owners in owners:
+                            for pending, _ in row_owners:
+                                pending._fail(error)
                         continue
                     self.telemetry.observe("scan_batch_fill",
-                                           len(chunk) / self.batch_size)
+                                           len(owners) / self.batch_size)
                     self.telemetry.count("scan_batches")
-                    self.telemetry.count("scan_scored_gadgets",
-                                         len(chunk))
-                    for (pending, index), score in zip(chunk, scores):
-                        pending._complete(index, float(score))
+                    self.telemetry.count("scan_scored_rows", len(owners))
+                    self.telemetry.count(
+                        "scan_scored_gadgets",
+                        sum(len(row_owners) for row_owners in owners))
+                    for row_owners, score in zip(owners, scores):
+                        for pending, index in row_owners:
+                            pending._complete(index, float(score))
 
 
 @dataclass
@@ -631,6 +644,7 @@ class ScanService:
             "cases_per_sec": telemetry.rate("scan_cases", "scan"),
             "batches": telemetry.get("scan_batches"),
             "scored_gadgets": telemetry.get("scan_scored_gadgets"),
+            "scored_rows": telemetry.get("scan_scored_rows"),
             "result_cache": {
                 "hits": self.results.hits,
                 "misses": self.results.misses,

@@ -80,20 +80,22 @@ def _ragged_conv(rows: np.ndarray, lengths: np.ndarray,
     # index of every real position in the gapped buffer
     gapped = (np.arange(count)
               + pad * np.arange(1, len(lengths) + 1).repeat(lengths))
-    buffer = np.zeros((count + pad * (len(lengths) + 1), in_channels),
-                      dtype=rows.dtype)
+    # ``kernel`` spare zero positions at the end make the last window
+    # all zeros: the patch of a padding row of the last product tile
+    buffer = np.zeros((count + pad * (len(lengths) + 1) + kernel,
+                       in_channels), dtype=rows.dtype)
     buffer[gapped] = rows
     # window s = positions s .. s+kernel-1, one contiguous run: the
     # offset-major patch of repro.nn.ops._im2col
     windows = np.lib.stride_tricks.as_strided(
         buffer, shape=(len(buffer) - kernel + 1, kernel * in_channels),
         strides=(buffer.strides[0], buffer.itemsize), writeable=False)
-    # the patch matrix, already padded to whole product tiles
-    cols = np.empty((-(-count // MATMUL_TILE) * MATMUL_TILE,
-                     kernel * in_channels), dtype=rows.dtype)
-    cols[count:] = 0
-    np.take(windows, gapped - pad, axis=0, out=cols[:count])
-    out = tiled_matmul(cols, _offset_major(weight).T)[:count]
+    # the patch matrix, already padded to whole product tiles, in one
+    # gather
+    index = np.full(-(-count // MATMUL_TILE) * MATMUL_TILE,
+                    len(windows) - 1)
+    index[:count] = gapped - pad
+    out = tiled_matmul(windows[index], _offset_major(weight).T)[:count]
     if bias is not None:
         out += bias
     return out

@@ -86,6 +86,27 @@ class TestScanConnectFlags:
         assert "scan server at" in capsys.readouterr().err
 
 
+class TestScanMissingPath:
+    """A missing scan path is an ``error:`` line and exit 2, found
+    before the model is loaded or the daemon is contacted."""
+
+    def test_model_path(self, tmp_path, capsys):
+        missing = tmp_path / "absent" / "x.c"
+        code = main(["scan", str(missing), "--model",
+                     str(tmp_path / "absent.npz")])
+        assert code == 2
+        assert f"error: no such file: {missing}" in capsys.readouterr().err
+
+    def test_connect_path(self, tmp_path, capsys):
+        missing = tmp_path / "absent" / "x.c"
+        code = main(["scan", str(missing), "--connect",
+                     str(tmp_path / "absent.sock")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: no such file: {missing}" in err
+        assert "scan server at" not in err
+
+
 class TestGadgetsCommand:
     def test_prints_gadgets(self, tmp_path, capsys):
         target = tmp_path / "t.c"

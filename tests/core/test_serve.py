@@ -22,6 +22,41 @@ from repro.datasets.sard import generate_sard_corpus
 from repro.testing import faults
 
 
+#: two functions with the same body: their gadgets normalize to one
+#: token row, so the scorer scores it once for both
+TWIN_SOURCE = """\
+void f(char *data) {
+    char buf[4];
+    strcpy(buf, data);
+}
+void g(char *data) {
+    char buf[4];
+    strcpy(buf, data);
+}
+"""
+
+#: two gadgets with different token rows
+DISTINCT_SOURCE = """\
+void f(char *data) {
+    char buf[4];
+    strcpy(buf, data);
+}
+int main() {
+    char line[64];
+    fgets(line, 64, 0);
+    f(line);
+    return 0;
+}
+"""
+
+
+def source_case(name, source):
+    from repro.datasets.manifest import TestCase
+    return TestCase(name=name, source=source, vulnerable=False,
+                    vulnerable_lines=frozenset(), cwe="", category="",
+                    origin="test")
+
+
 @pytest.fixture(scope="module")
 def detector():
     det = SEVulDet(scale=SCALE_PRESETS["small"], seed=3)
@@ -81,6 +116,42 @@ class TestByteIdentity:
         for verdict, findings in zip(verdicts, serial):
             assert len(verdict.findings) == verdict.gadgets
             assert list(verdict.findings) == findings  # bit-equal
+
+
+class TestThreadScorer:
+    def test_failed_pack_fails_every_owner_of_its_rows(self):
+        """B and C queue while the worker is held inside its first
+        pack, so one drain takes both: their shared row reaches the
+        kernel once, and the pack's failure reaches both cases."""
+        from repro.core.serve import ThreadScorer
+        from repro.core.telemetry import Telemetry
+
+        release = threading.Event()
+        packed: list[int] = []
+
+        class Failing:
+            def predict_proba(self, ids, lengths):
+                packed.append(len(ids))
+                release.wait(timeout=30)
+                raise RuntimeError("kernel failed")
+
+        scorer = ThreadScorer(Failing(), batch_size=8, workers=1,
+                              telemetry=Telemetry())
+        try:
+            first = scorer.submit([[1, 2, 3, 4]])
+            deadline = time.monotonic() + 30
+            while not packed and time.monotonic() < deadline:
+                time.sleep(0.01)
+            second = scorer.submit([[5, 6, 7, 8], [5, 6, 7, 8]])
+            third = scorer.submit([[5, 6, 7, 8], [9, 9, 9, 9]])
+            release.set()
+            for pending in (first, second, third):
+                with pytest.raises(RuntimeError, match="kernel failed"):
+                    pending.result()
+        finally:
+            release.set()
+            scorer.close()
+        assert packed == [1, 2]
 
 
 class TestResultCaching:
@@ -248,6 +319,24 @@ class TestServiceLifecycle:
         assert stats["latency_seconds"]["count"] == 5
         assert 0 < stats["batch_fill"]["mean"] <= 1.0
 
+    @pytest.mark.parametrize("source,repeats", [
+        (TWIN_SOURCE, True), (DISTINCT_SOURCE, False)],
+        ids=["repeated", "distinct"])
+    def test_scored_rows_count_distinct_rows(self, detector, source,
+                                             repeats):
+        """One case is one scorer submission, so its repeated rows
+        reach the kernel once; ``scored_gadgets`` still counts every
+        gadget."""
+        with ScanService(detector, workers=1,
+                         batch_size=8) as service:
+            verdict = service.scan_case(source_case("s.c", source))
+            stats = service.stats()
+        assert verdict.gadgets == stats["scored_gadgets"] == 2
+        if repeats:
+            assert stats["scored_rows"] < stats["scored_gadgets"]
+        else:
+            assert stats["scored_rows"] == stats["scored_gadgets"]
+
     def test_case_timeout_is_refused(self, detector):
         # the SIGALRM budget cannot fire on the extraction drain
         # thread, so the service refuses it instead of ignoring it
@@ -347,6 +436,7 @@ class TestScanCLI:
         out = capsys.readouterr().out
         assert code in (0, 1)
         assert "scanned 4 case(s):" in out
+        assert "distinct row(s) in" in out
         assert "result cache:" in out
         records = [json.loads(line)
                    for line in jsonl.read_text().splitlines()]

@@ -31,6 +31,7 @@ from repro.core.ipc import (ProtocolError, ScanClient,
                             encode_message, read_message)
 from repro.core.serve import ScanService
 from repro.core.server import ScanServer
+from tests.core.test_serve import DISTINCT_SOURCE, TWIN_SOURCE
 from repro.datasets.sard import generate_sard_corpus
 from repro.testing import faults
 
@@ -195,6 +196,21 @@ class TestServerVerdicts:
         assert stats["server"]["config_token"] == \
             detector.config_token()
         assert stats["service"]["scored_gadgets"] > 0
+
+    @pytest.mark.parametrize("source,repeats", [
+        (TWIN_SOURCE, True), (DISTINCT_SOURCE, False)],
+        ids=["repeated", "distinct"])
+    def test_stats_op_counts_distinct_rows(self, detector, tmp_path,
+                                           source, repeats):
+        with make_server(tmp_path, detector=detector) as server:
+            with ScanClient(server.address) as client:
+                client.scan_batch([{"name": "s.c", "source": source}])
+                service = client.stats()["service"]
+        assert service["scored_gadgets"] == 2
+        if repeats:
+            assert service["scored_rows"] < service["scored_gadgets"]
+        else:
+            assert service["scored_rows"] == service["scored_gadgets"]
 
     def test_tcp_transport(self, detector, corpus, expected_records):
         server = ScanServer(detector=detector, host="127.0.0.1",

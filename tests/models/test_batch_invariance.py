@@ -8,19 +8,24 @@ sub-pack, at any position.  These properties run over random-init
 networks (every ablation switch, CBAM's zero-initialized gates given
 random weights so every product does work) and rows of 1-300 tokens,
 through the kernel, the serial scorer and the service's thread
-scorer.
+scorer.  Batch invariance is what lets both scorers score each
+distinct row once and copy its score to every repeat; the last
+properties pin that the kernel sees each distinct row once.
 """
+
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.score import predict_proba
+from repro.core.score import SCORE_MIN_LENGTH, predict_proba
 from repro.core.serve import ThreadScorer
 from repro.core.telemetry import Telemetry
 from repro.models.sevuldet import SEVulDetNet
 from repro.nn import Sample, no_grad
+from repro.nn.data import PAD_ID
 
 VOCAB = 60
 
@@ -122,3 +127,77 @@ def test_thread_scorer_matches_serial(batch_size, net, rows, data):
     finally:
         scorer.close()
     assert bits(scores) == bits(serial)
+
+
+def with_repeats(rows, data) -> list[list[int]]:
+    """A multiset over ``rows`` in drawn order, one row at least twice."""
+    picks = data.draw(st.lists(st.sampled_from(range(len(rows))),
+                               min_size=1, max_size=40),
+                      label="row multiset")
+    return [rows[i] for i in [*picks, picks[0]]]
+
+
+def as_packed(row) -> tuple[int, ...]:
+    """A row as a ragged pack carries it: padded to the length floor."""
+    return (*row, *[PAD_ID] * (SCORE_MIN_LENGTH - len(row)))
+
+
+class KernelRows:
+    """Wraps ``net.predict_proba`` and records every row it scores."""
+
+    def __init__(self, net):
+        self.net = net
+        self.seen: list[tuple[int, ...]] = []
+        self._lock = threading.Lock()
+
+    def __enter__(self) -> "KernelRows":
+        original = self.net.predict_proba
+
+        def counting(ids, lengths):
+            with self._lock:
+                self.seen.extend(tuple(row[:n]) for row, n
+                                 in zip(ids.tolist(), lengths))
+            return original(ids, lengths)
+
+        self.net.predict_proba = counting  # shadows the method
+        return self
+
+    def __exit__(self, *exc) -> None:
+        del self.net.predict_proba
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 64])
+@PROPERTY
+@given(net=nets, rows=rows_st, data=st.data())
+def test_serial_scorer_scores_each_distinct_row_once(batch_size, net,
+                                                     rows, data):
+    multiset = with_repeats(rows, data)
+    samples = [Sample(tuple(row), 0) for row in multiset]
+    alone = [predict_proba(net, [sample])[0] for sample in samples]
+    with KernelRows(net) as kernel:
+        scores = predict_proba(net, samples, batch_size=batch_size)
+    assert bits(scores) == bits(alone)
+    assert kernel.seen == [as_packed(row) for row
+                           in dict.fromkeys(map(tuple, multiset))]
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 64])
+@PROPERTY
+@given(net=nets, rows=rows_st, data=st.data())
+def test_thread_scorer_scores_each_distinct_row_once(batch_size, net,
+                                                     rows, data):
+    """One submission is one drain: each distinct row reaches the
+    kernel once, and every repeat gets the serial scorer's score."""
+    multiset = with_repeats(rows, data)
+    serial = predict_proba(net, [Sample(tuple(row), 0)
+                                 for row in multiset])
+    scorer = ThreadScorer(net, batch_size, workers=2,
+                          telemetry=Telemetry())
+    try:
+        with KernelRows(net) as kernel:
+            scores = scorer.submit(multiset).result()
+    finally:
+        scorer.close()
+    assert bits(scores) == bits(serial)
+    assert sorted(kernel.seen) == sorted(
+        as_packed(row) for row in set(map(tuple, multiset)))
