@@ -6,30 +6,86 @@ validation re-extract the *same* cases many times.  This cache keys
 each case's extracted gadgets by a hash of (case content, extraction
 config, pipeline version) so repeated runs skip the frontend entirely.
 
-Entries are stored as one JSON-lines shard per (case, config) key in a
-two-level fan-out directory, reusing :mod:`repro.core.store`'s record
-format — the cache is therefore diff-able, append-friendly, and safe
-to prune with plain ``rm``.  Writes go through a temp file + rename so
-concurrent extractors (process pools, parallel test runs) never
-observe a torn shard; a corrupt or unreadable shard degrades to a
-cache miss, never an error.
+Each (case, config) key is one shard in a two-level fan-out directory,
+holding one compact JSON document on one line::
+
+    {"v": 2, "rows": [[token, ...], ...],
+     "gadgets": [[row, label, category, kind, cwe,
+                  function, line, criterion category, token], ...]}
+
+Normalization (paper Step III) maps many gadgets of one program to the
+same token sequence, so each distinct row is stored once and every
+gadget names its row by index; reading a shard is one ``json.loads``,
+and gadgets that share a row share one ``tokens`` tuple.  The case
+name is not stored: :meth:`GadgetCache.get` attributes the gadgets to
+the caller's case.  This is a cache format only; the dataset export
+(:mod:`repro.core.store`) keeps its one-record-per-line JSONL.
+
+Writes go to a temp file unique to the writer and are renamed over
+the shard, so concurrent extractors (threads, process pools, parallel
+test runs) never observe a torn shard nor trip over each other's temp
+file.  A shard that is unreadable, corrupt or in another format
+version is a cache miss, never an error; the next extraction
+overwrites it.  Shards are safe to prune with plain ``rm``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
+import json
+import os
+import secrets
 from pathlib import Path
 from typing import Sequence
 
 from ..datasets.manifest import TestCase
 from ..slicing.normalize import NORMALIZE_VERSION
+from ..slicing.special_tokens import SlicingCriterion, TokenCategory
 from ..testing import faults
 from .extract import PIPELINE_VERSION, LabeledGadget
 from .fingerprint import FINGERPRINT_VERSION
-from .store import load_gadgets, save_gadgets
 
 __all__ = ["GadgetCache", "FunctionGadgetCache"]
+
+#: Shard document version; a shard of any other version is a miss.
+SHARD_VERSION = 2
+
+_CATEGORIES = {category.value: category for category in TokenCategory}
+
+
+def _encode_shard(gadgets: Sequence[LabeledGadget]) -> bytes:
+    """One shard document: distinct rows once, one array per gadget."""
+    rows: dict[tuple[str, ...], int] = {}
+    records = []
+    for gadget in gadgets:
+        row = rows.setdefault(gadget.tokens, len(rows))
+        criterion = gadget.criterion
+        records.append((row, gadget.label, gadget.category, gadget.kind,
+                        gadget.cwe, criterion.function, criterion.line,
+                        criterion.category.value, criterion.token))
+    document = {"v": SHARD_VERSION, "rows": list(rows),
+                "gadgets": records}
+    return json.dumps(document, separators=(",", ":")).encode("ascii")
+
+
+def _decode_shard(data: bytes, case_name: str) -> list[LabeledGadget]:
+    """Gadgets of a shard document, attributed to ``case_name``.
+
+    Raises ValueError, KeyError, TypeError or IndexError on anything
+    that is not a well-formed document of this version.
+    """
+    document = json.loads(data)
+    if document["v"] != SHARD_VERSION:
+        raise ValueError(f"shard version {document['v']!r}")
+    rows = [tuple(row) for row in document["rows"]]
+    return [LabeledGadget(
+                tokens=rows[row], label=label, category=category,
+                case_name=case_name,
+                criterion=SlicingCriterion(function, line,
+                                           _CATEGORIES[criterion], token),
+                kind=kind, cwe=cwe)
+            for (row, label, category, kind, cwe, function, line,
+                 criterion, token) in document["gadgets"]]
 
 
 class GadgetCache:
@@ -55,24 +111,37 @@ class GadgetCache:
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.jsonl"
 
-    def get(self, key: str) -> list[LabeledGadget] | None:
-        """Cached gadgets for ``key``, or None on a miss.
+    def get(self, key: str,
+            case_name: str) -> list[LabeledGadget] | None:
+        """Cached gadgets for ``key``, attributed to ``case_name``, or
+        None on a miss.
 
-        An unreadable or corrupt shard counts as a miss — the caller
-        re-extracts and overwrites it.
+        An empty list is a hit.  An unreadable, corrupt or old-format
+        shard counts as a miss: the caller re-extracts and overwrites
+        it.
         """
-        path = self.path_for(key)
-        if not path.exists():
+        try:
+            data = self.path_for(key).read_bytes()
+        except OSError:
             return None
         try:
-            return load_gadgets(path)
-        except (ValueError, OSError):
+            return _decode_shard(data, case_name)
+        except (ValueError, KeyError, TypeError, IndexError):
             return None
 
     def put(self, key: str, gadgets: Sequence[LabeledGadget]) -> None:
-        """Store ``gadgets`` under ``key`` (atomic replace)."""
+        """Store ``gadgets`` under ``key``: write a temp file of this
+        writer's own, then rename it over the shard."""
         path = self.path_for(key)
-        save_gadgets(gadgets, path, atomic=True)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        temp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+        try:
+            with temp.open("xb") as handle:
+                handle.write(_encode_shard(gadgets))
+            os.replace(temp, path)
+        except BaseException:
+            temp.unlink(missing_ok=True)
+            raise
         faults.corrupt_file("shard", key, path)
 
     def __contains__(self, key: str) -> bool:
@@ -134,13 +203,14 @@ class FunctionGadgetCache(GadgetCache):
     read outside the component, a hit is byte-identical to re-slicing.
 
     The case *name* is deliberately excluded from the key — identical
-    content under two paths (vendored copies, renames) shares entries;
-    :meth:`get_function` rewrites provenance on the way out.  Labeling
-    inputs (vulnerable flag, flaw lines, CWE) stay in the key because
-    gadget labels depend on them.  Shards reuse the parent's record
-    format and fan-out layout, so one cache root can hold both
-    granularities side by side without key collisions (the
-    ``function-level`` marker separates the key spaces).
+    content under two paths (vendored copies, renames) shares entries,
+    and shards store no case name, so :meth:`get_function` attributes
+    them to the caller's case.  Labeling inputs (vulnerable flag, flaw
+    lines, CWE) stay in the key because gadget labels depend on them.
+    Shards use the parent's document format and fan-out layout, so
+    one cache root can hold both granularities side by side without
+    key collisions (the ``function-level`` marker separates the key
+    spaces).
     """
 
     def key_for_function(self, case: TestCase, function: str,
@@ -169,17 +239,12 @@ class FunctionGadgetCache(GadgetCache):
 
     def get_function(self, key: str,
                      case_name: str) -> list[LabeledGadget] | None:
-        """Cached gadgets under ``key``, re-attributed to ``case_name``.
+        """Cached gadgets under ``key``, attributed to ``case_name``.
 
         An empty list is a valid hit (the function's criteria all
         sliced to nothing, or it has no criteria); None is a miss.
         """
-        hit = self.get(key)
-        if hit is None:
-            return None
-        return [labeled if labeled.case_name == case_name
-                else dataclasses.replace(labeled, case_name=case_name)
-                for labeled in hit]
+        return self.get(key, case_name)
 
     def put_function(self, key: str,
                      gadgets: Sequence[LabeledGadget]) -> None:

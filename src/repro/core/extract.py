@@ -425,7 +425,7 @@ class CorpusExtractor:
                     key = gadget_cache.key_for(cases[index],
                                                config.cache_token())
                     keys[index] = key
-                    hit = gadget_cache.get(key)
+                    hit = gadget_cache.get(key, cases[index].name)
                     if hit is None:
                         telemetry.count("cache_misses")
                         pending.append(index)

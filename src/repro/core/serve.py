@@ -594,9 +594,17 @@ class ScanService:
                     status="skipped", reason=result.failure.reason))
             return
         entry.gadgets = result.gadgets
-        entry.pending = self._scorer.submit(
-            [g.sample(self._vocab).token_ids
-             for g in result.gadgets])
+        # normalized gadgets often share a token row: encode each
+        # distinct row once and reuse its ids for every repeat
+        ids: dict[tuple[str, ...], tuple[int, ...]] = {}
+        rows = []
+        for gadget in result.gadgets:
+            row = ids.get(gadget.tokens)
+            if row is None:
+                row = ids[gadget.tokens] = \
+                    gadget.sample(self._vocab).token_ids
+            rows.append(row)
+        entry.pending = self._scorer.submit(rows)
 
     def _resolve_case(self, entry: _CaseWork) -> CaseVerdict:
         if entry.verdict is not None:

@@ -65,23 +65,14 @@ def _from_record(record: dict) -> LabeledGadget:
 
 
 def save_gadgets(gadgets: Sequence[LabeledGadget],
-                 path: str | Path, *, atomic: bool = False) -> int:
-    """Write gadgets to a .jsonl file; returns the record count.
-
-    With ``atomic`` the records go to a sibling temp file that is
-    renamed over ``path`` at the end, so concurrent readers (and other
-    writers racing on the same path, e.g. parallel extraction caches)
-    never observe a torn file.
-    """
+                 path: str | Path) -> int:
+    """Write gadgets to a .jsonl file; returns the record count."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    target = path.with_name(path.name + ".tmp") if atomic else path
-    with target.open("w") as handle:
+    with path.open("w") as handle:
         for gadget in gadgets:
             handle.write(json.dumps(_to_record(gadget),
                                     separators=(",", ":")) + "\n")
-    if atomic:
-        target.replace(path)
     return len(gadgets)
 
 

@@ -171,4 +171,4 @@ class TestGadgetCacheUnit:
         assert key not in cache
         cache.put(key, [])
         assert key in cache
-        assert cache.get(key) == []
+        assert cache.get(key, corpus[0].name) == []

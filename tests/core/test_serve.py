@@ -12,11 +12,14 @@ CLI surface.
 import json
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core import SCALE_PRESETS, Quarantine, SEVulDet
+from repro.core.cache import FunctionGadgetCache, GadgetCache
+from repro.core.extract import LabeledGadget, extract_gadgets
 from repro.core.serve import CaseVerdict, ResultCache, ScanService
 from repro.datasets.sard import generate_sard_corpus
 from repro.testing import faults
@@ -116,6 +119,59 @@ class TestByteIdentity:
         for verdict, findings in zip(verdicts, serial):
             assert len(verdict.findings) == verdict.gadgets
             assert list(verdict.findings) == findings  # bit-equal
+
+
+class TestWarmCacheParity:
+    def test_warm_caches_match_cold_service_and_serial(
+            self, detector, corpus, tmp_path, monkeypatch):
+        """A service over a warm gadget cache or a warm function cache
+        gives the verdicts of a cold service and of ``detect_case``,
+        field for field, scores the same rows and gadgets, and encodes
+        each distinct token row of a case once.  At threshold 0 every
+        gadget is a finding, so every score is compared."""
+        monkeypatch.setattr(detector, "threshold", 0.0)
+        serial = [detector.detect_case(case) for case in corpus]
+        expected_rows = sorted(
+            {(g.case_name, g.tokens) for g in extract_gadgets(
+                corpus, detector.gadget_kind, detector.categories,
+                deduplicate=False)})
+        encoded = []
+        sample = LabeledGadget.sample
+
+        def counted(gadget, vocab):
+            encoded.append((gadget.case_name, gadget.tokens))
+            return sample(gadget, vocab)
+
+        monkeypatch.setattr(LabeledGadget, "sample", counted)
+
+        def scan(**kwargs):
+            encoded.clear()
+            with ScanService(detector, workers=2, batch_size=16,
+                             **kwargs) as service:
+                # one case per scan, so each scorer drain holds one
+                # case and the scored-row count is deterministic
+                verdicts = [replace(service.scan_case(case), seconds=0.0)
+                            for case in corpus]
+                stats = service.stats()
+                misses = sum(service.telemetry.get(name) for name
+                             in ("cache_misses", "fn_cache_misses"))
+            assert sorted(encoded) == expected_rows
+            return (verdicts, stats["scored_rows"],
+                    stats["scored_gadgets"]), misses
+
+        cold, _ = scan()
+        verdicts, rows, gadgets = cold
+        assert rows == len(expected_rows) < gadgets  # rows repeat
+        for verdict, findings in zip(verdicts, serial):
+            assert list(verdict.findings) == findings
+        monkeypatch.setattr(detector, "cache",
+                            GadgetCache(tmp_path / "gadgets"))
+        assert scan() == (cold, len(corpus))
+        assert scan() == (cold, 0)  # warm gadget cache
+        monkeypatch.setattr(detector, "cache", None)
+        fn_cache = FunctionGadgetCache(tmp_path / "functions")
+        assert scan(fn_cache=fn_cache)[0] == cold
+        assert scan(fn_cache=fn_cache) == (cold, 0)  # warm
 
 
 class TestThreadScorer:

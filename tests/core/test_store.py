@@ -80,18 +80,10 @@ class TestStore:
         with pytest.raises(ValueError, match="version"):
             load_gadgets(path)
 
-    def test_atomic_write_matches_plain(self, gadgets, tmp_path):
-        plain = tmp_path / "plain.jsonl"
-        atomic = tmp_path / "atomic.jsonl"
-        save_gadgets(gadgets, plain)
-        save_gadgets(gadgets, atomic, atomic=True)
-        assert atomic.read_text() == plain.read_text()
-        assert not list(tmp_path.glob("*.tmp"))
-
-    def test_atomic_replaces_existing(self, gadgets, tmp_path):
+    def test_save_replaces_existing(self, gadgets, tmp_path):
         path = tmp_path / "gadgets.jsonl"
         path.write_text("stale\n")
-        save_gadgets(gadgets[:2], path, atomic=True)
+        save_gadgets(gadgets[:2], path)
         assert len(load_gadgets(path)) == 2
 
     def test_blank_lines_skipped(self, gadgets, tmp_path):
