@@ -19,13 +19,15 @@ import numpy as np
 from ..datasets.manifest import TestCase
 from ..embedding.vocab import Vocabulary
 from ..models.sevuldet import DECISION_THRESHOLD, SEVulDetNet
+from ..nn import Sample
 from ..nn.serialize import load_model, save_model
 from ..slicing.normalize import NORMALIZE_VERSION
 from .config import Scale, current_scale
 from .cwe_typing import CWETyper
 from .context import RunContext
 from .encode import EncodedDataset, encode_gadgets
-from .extract import PIPELINE_VERSION, LabeledGadget, extract_gadgets
+from .extract import (PIPELINE_VERSION, LabeledGadget, encode_rows,
+                      extract_gadgets)
 from .score import predict_proba
 from .train import TrainReport, train_classifier
 from .resilience import CaseFailure
@@ -184,7 +186,8 @@ class SEVulDet:
                       ) -> np.ndarray:
         """Raw sigmoid scores for pre-extracted gadgets."""
         model, vocab = self._require_trained()
-        samples = [g.sample(vocab) for g in gadgets]
+        samples = [Sample(row, g.label) for row, g
+                   in zip(encode_rows(gadgets, vocab), gadgets)]
         return predict_proba(model, samples)
 
     def detect(self, source: str, path: str = "<memory>"

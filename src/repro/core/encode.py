@@ -86,6 +86,7 @@ def encode_gadgets(gadgets: Sequence[LabeledGadget], dim: int = 30,
         word2vec = Word2Vec(vocab, dim=dim, seed=seed)
         word2vec.train(corpora, epochs=w2v_epochs,
                        min_count=min_count, telemetry=telemetry)
-    samples = [g.sample(vocab) for g in gadgets]
+    samples = [Sample(tuple(ids), g.label)
+               for ids, g in zip(corpora, gadgets)]
     return EncodedDataset(samples, vocab, word2vec, list(gadgets),
                           id_aliases=id_aliases)

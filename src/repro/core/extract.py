@@ -71,6 +71,23 @@ class LabeledGadget:
         return Sample(tuple(vocab.encode(list(self.tokens))), self.label)
 
 
+def encode_rows(gadgets: Sequence[LabeledGadget],
+                vocab: Vocabulary) -> list[tuple[int, ...]]:
+    """Token ids of each gadget, in order.
+
+    Normalized gadgets often share a token row: each distinct row is
+    encoded once and its ids reused for every repeat.
+    """
+    ids: dict[tuple[str, ...], tuple[int, ...]] = {}
+    rows = []
+    for gadget in gadgets:
+        row = ids.get(gadget.tokens)
+        if row is None:
+            row = ids[gadget.tokens] = gadget.sample(vocab).token_ids
+        rows.append(row)
+    return rows
+
+
 @dataclass(frozen=True)
 class _ExtractConfig:
     """Per-run extraction knobs, picklable for worker processes."""

@@ -52,7 +52,8 @@ import numpy as np
 from ..datasets.manifest import TestCase
 from ..nn import no_grad
 from .detector import Finding, SEVulDet
-from .extract import CaseResult, CorpusExtractor, _make_config
+from .extract import (CaseResult, CorpusExtractor, _make_config,
+                      encode_rows)
 from .score import distinct_rows, pack_rows
 from .telemetry import Telemetry
 
@@ -594,17 +595,8 @@ class ScanService:
                     status="skipped", reason=result.failure.reason))
             return
         entry.gadgets = result.gadgets
-        # normalized gadgets often share a token row: encode each
-        # distinct row once and reuse its ids for every repeat
-        ids: dict[tuple[str, ...], tuple[int, ...]] = {}
-        rows = []
-        for gadget in result.gadgets:
-            row = ids.get(gadget.tokens)
-            if row is None:
-                row = ids[gadget.tokens] = \
-                    gadget.sample(self._vocab).token_ids
-            rows.append(row)
-        entry.pending = self._scorer.submit(rows)
+        entry.pending = self._scorer.submit(
+            encode_rows(result.gadgets, self._vocab))
 
     def _resolve_case(self, entry: _CaseWork) -> CaseVerdict:
         if entry.verdict is not None:

@@ -13,6 +13,7 @@ reach — matching the conservative treatment in slicing-based detectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from . import ast_nodes as A
 from .cfg import CFG, CFGNode, NodeKind
@@ -176,15 +177,20 @@ class _ExprVisitor:
                 self.info.weak_defs.add(base)
 
 
-def _pointer_variables(function: A.FunctionDef) -> set[str]:
-    """Names of pointer- or array-typed variables in scope."""
+def _pointer_variables(cfg: CFG) -> set[str]:
+    """Names of pointer- or array-typed variables in scope.
+
+    Declarations are statements, and the CFG holds a node for every
+    statement of the body (unreachable ones too), so its nodes list
+    every declaration without walking expressions.
+    """
     pointers: set[str] = set()
-    for param in function.params:
+    for param in cfg.function.params:
         if param.pointer_depth > 0 or param.is_array:
             pointers.add(param.name)
-    for node in A.walk(function.body):
-        if isinstance(node, A.Decl):
-            for decl in node.declarators:
+    for node in cfg.nodes.values():
+        if isinstance(node.ast, A.Decl):
+            for decl in node.ast.declarators:
                 if decl.is_pointer or decl.is_array:
                     pointers.add(decl.name)
     return pointers
@@ -195,7 +201,7 @@ def collect_def_use(cfg: CFG) -> dict[int, DefUse]:
 
     The entry node strongly defines every parameter.
     """
-    pointer_vars = _pointer_variables(cfg.function)
+    pointer_vars = _pointer_variables(cfg)
     result: dict[int, DefUse] = {}
     for node in cfg.nodes.values():
         info = DefUse()
@@ -237,58 +243,111 @@ def _node_def_use(node: CFGNode, pointer_vars: set[str]) -> DefUse:
     return visitor.info
 
 
+def _solve(cfg: CFG, def_use: dict[int, DefUse]
+           ) -> tuple[list[tuple[str, int]], dict[str, int], list[int],
+                      list[int]]:
+    """Reaching definitions on integer bitsets.
+
+    Each definition ``(variable, node id)`` is numbered once, nodes in
+    id order and a node's variables sorted; bit *k* of a set stands
+    for definition *k*.  GEN, KILL, IN and OUT are ints over the dense
+    node ids, and the worklist revisits a node's successors only when
+    its OUT grows.  Returns the numbered definitions, each variable's
+    mask of definitions, GEN and IN.
+    """
+    size = len(cfg.nodes)
+    defs: list[tuple[str, int]] = []
+    var_bits: dict[str, int] = {}
+    gen = [0] * size
+    for node_id in range(size):
+        info = def_use.get(node_id)
+        if info is None:
+            continue
+        bits = 0
+        for var in sorted(info.defs):
+            bit = 1 << len(defs)
+            defs.append((var, node_id))
+            var_bits[var] = var_bits.get(var, 0) | bit
+            bits |= bit
+        gen[node_id] = bits
+    keep = [-1] * size  # ~KILL: weak defs generate but do not kill
+    for node_id, info in def_use.items():
+        for var in info.strong_defs:
+            keep[node_id] &= ~var_bits[var]
+    nodes = cfg.nodes
+    preds = [[edge.src for edge in cfg.in_edges(nodes[i])]
+             for i in range(size)]
+    succs = [[edge.dst for edge in cfg.out_edges(nodes[i])]
+             for i in range(size)]
+    reach_in = [0] * size
+    reach_out = gen[:]  # OUT of an empty IN
+    worklist = list(range(size - 1, -1, -1))
+    queued = [True] * size
+    while worklist:
+        node_id = worklist.pop()
+        queued[node_id] = False
+        new_in = 0
+        for pred in preds[node_id]:
+            new_in |= reach_out[pred]
+        if new_in == reach_in[node_id]:
+            continue
+        reach_in[node_id] = new_in
+        new_out = (new_in & keep[node_id]) | gen[node_id]
+        if new_out != reach_out[node_id]:
+            reach_out[node_id] = new_out
+            for succ in succs[node_id]:
+                if not queued[succ]:
+                    queued[succ] = True
+                    worklist.append(succ)
+    return defs, var_bits, gen, reach_in
+
+
+def _decode(bits: int, defs: list[tuple[str, int]]
+            ) -> Iterator[tuple[str, int]]:
+    """The definitions whose bits are set, lowest bit first."""
+    while bits:
+        low = bits & -bits
+        yield defs[low.bit_length() - 1]
+        bits ^= low
+
+
 def reaching_definitions(
     cfg: CFG, def_use: dict[int, DefUse] | None = None
 ) -> dict[int, set[tuple[str, int]]]:
     """Reaching definitions at node *entry*: sets of (variable, def node id).
 
-    Classic forward may-analysis with a worklist; weak defs generate but
-    do not kill.
+    Classic forward may-analysis (weak defs generate but do not kill),
+    decoded from the bitset solution :func:`data_dependences` reads.
     """
     if def_use is None:
         def_use = collect_def_use(cfg)
-    gen: dict[int, set[tuple[str, int]]] = {}
-    kill_vars: dict[int, set[str]] = {}
-    for node_id, info in def_use.items():
-        gen[node_id] = {(v, node_id) for v in info.defs}
-        kill_vars[node_id] = set(info.strong_defs)
-
-    in_sets: dict[int, set[tuple[str, int]]] = {
-        node_id: set() for node_id in cfg.nodes
-    }
-    worklist = list(cfg.nodes.values())
-    while worklist:
-        node = worklist.pop()
-        new_in: set[tuple[str, int]] = set()
-        for pred in cfg.predecessors(node):
-            out = {
-                (v, d) for (v, d) in in_sets[pred.id]
-                if v not in kill_vars[pred.id]
-            } | gen[pred.id]
-            new_in |= out
-        if new_in != in_sets[node.id]:
-            in_sets[node.id] = new_in
-            worklist.extend(cfg.successors(node))
-    return in_sets
+    defs, _, _, reach_in = _solve(cfg, def_use)
+    return {node_id: set(_decode(reach_in[node_id], defs))
+            for node_id in cfg.nodes}
 
 
 def data_dependences(
     cfg: CFG, def_use: dict[int, DefUse] | None = None
 ) -> list[tuple[CFGNode, CFGNode, str]]:
-    """Data-dependence triples ``(def_node, use_node, variable)``."""
+    """Data-dependence triples ``(def_node, use_node, variable)``, use
+    nodes in id order and each one's definitions in their numbering.
+
+    A node's reaching definitions are intersected with the mask of the
+    variables it uses, less its own definitions.
+    """
     if def_use is None:
         def_use = collect_def_use(cfg)
-    reach_in = reaching_definitions(cfg, def_use)
+    defs, var_bits, gen, reach_in = _solve(cfg, def_use)
+    nodes = cfg.nodes
     deps: list[tuple[CFGNode, CFGNode, str]] = []
-    seen: set[tuple[int, int, str]] = set()
-    for node in cfg.nodes.values():
-        uses = def_use[node.id].uses
+    for node_id, node in nodes.items():
+        uses = def_use[node_id].uses
         if not uses:
             continue
-        for var, def_id in reach_in[node.id]:
-            if var in uses and def_id != node.id:
-                key = (def_id, node.id, var)
-                if key not in seen:
-                    seen.add(key)
-                    deps.append((cfg.nodes[def_id], node, var))
+        used = 0
+        for var in uses:
+            used |= var_bits.get(var, 0)
+        for var, def_id in _decode(reach_in[node_id] & used & ~gen[node_id],
+                                   defs):
+            deps.append((nodes[def_id], node, var))
     return deps

@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the C subset.
+"""Cursor parser for the C subset.
 
 The subset covers everything the synthetic corpora and the paper's code
 examples need: function definitions, local/global declarations (with
@@ -7,6 +7,16 @@ cares about (``if``/``else if``/``else``/``for``/``while``/``do while``/
 ``switch``/``case``), ``goto``/labels, ``struct`` definitions, and the
 full C expression grammar (assignment, ternary, binary/unary operators,
 calls, array indexing, ``.``/``->`` member access, casts, ``sizeof``).
+
+The parser is a cursor over the flat token list.  The list is padded
+with EOF sentinels, so a lookahead is a plain index, and tokens match
+on their text alone: a punctuator's or keyword's text is never the
+text of any other kind of token (an identifier spelled like a keyword
+lexes as the keyword), so ``text == "("`` is ``is_punct("(")``.
+Statements dispatch on their leading keyword.  Binary operators reduce
+on an explicit operator stack, and postfix operators and primaries
+parse in the frame of the prefix operators, so an expression nests
+fewer Python frames per level than a level-per-precedence descent.
 
 Unsupported constructs raise :class:`ParseError` with a location, which
 tests assert on.
@@ -32,10 +42,15 @@ _QUALIFIERS = frozenset(
     {"static", "const", "extern", "inline", "register", "volatile",
      "auto", "restrict"}
 )
+_TAGS = frozenset({"struct", "union", "enum"})
+_TYPE_STARTS = _TYPE_KEYWORDS | _QUALIFIERS | _TAGS
 
 _ASSIGN_OPS = frozenset(
     {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="}
 )
+_PREFIX_OPS = frozenset({"+", "-", "!", "~", "*", "&", "++", "--"})
+_POSTFIX_OPS = frozenset({"(", "[", ".", "->", "++", "--"})
+_CONSTANTS = frozenset({"true", "false", "NULL"})
 
 # Binary operator precedence (C), higher binds tighter.
 _BINARY_PRECEDENCE = {
@@ -51,6 +66,11 @@ _BINARY_PRECEDENCE = {
     "*": 10, "/": 10, "%": 10,
 }
 
+#: deepest lookahead past the cursor (a label's ``x : !:``)
+_LOOKAHEAD = 2
+
+_IDENT, _EOF = TokenKind.IDENT, TokenKind.EOF
+
 
 class ParseError(SyntaxError):
     """Raised when the source uses constructs outside the subset."""
@@ -62,124 +82,122 @@ class ParseError(SyntaxError):
 
 
 class Parser:
-    """One-pass recursive-descent parser with a typedef symbol table,
-    over a preprocessor-stripped stream (``SourceFile.parser_tokens``)."""
+    """One-pass parser with a typedef symbol table, over a
+    preprocessor-stripped stream (``SourceFile.parser_tokens``) that
+    ends with its EOF token.
+
+    The cursor only steps past a token it has matched, so it never
+    passes EOF and ``_i + _LOOKAHEAD`` stays inside the padding.
+    """
 
     def __init__(self, tokens: list[Token]):
-        self._toks = tokens
+        self._toks = tokens + [tokens[-1]] * _LOOKAHEAD
+        self._texts = [tok.text for tok in self._toks]
         self._i = 0
         self._typedefs: set[str] = set()
-        self._struct_names: set[str] = set()
 
     # -- token helpers -----------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self._i + offset, len(self._toks) - 1)
-        return self._toks[index]
-
     def _next(self) -> Token:
-        tok = self._peek()
-        if tok.kind is not TokenKind.EOF:
-            self._i += 1
+        tok = self._toks[self._i]
+        self._i += 1
         return tok
 
     def _expect_punct(self, text: str) -> Token:
-        tok = self._peek()
-        if not tok.is_punct(text):
+        tok = self._toks[self._i]
+        if tok.text != text:
             raise ParseError(f"expected {text!r}", tok)
-        return self._next()
-
-    def _expect_keyword(self, name: str) -> Token:
-        tok = self._peek()
-        if not tok.is_keyword(name):
-            raise ParseError(f"expected keyword {name!r}", tok)
-        return self._next()
+        self._i += 1
+        return tok
 
     def _expect_ident(self) -> Token:
-        tok = self._peek()
-        if tok.kind is not TokenKind.IDENT:
+        tok = self._toks[self._i]
+        if tok.kind is not _IDENT:
             raise ParseError("expected identifier", tok)
-        return self._next()
+        self._i += 1
+        return tok
 
     def _accept_punct(self, text: str) -> bool:
-        if self._peek().is_punct(text):
-            self._next()
+        if self._texts[self._i] == text:
+            self._i += 1
             return True
         return False
+
+    def _pointer_depth(self) -> int:
+        """Consume a run of ``*`` and return its length."""
+        start = self._i
+        while self._texts[self._i] == "*":
+            self._i += 1
+        return self._i - start
 
     # -- type recognition ---------------------------------------------------
 
     def _is_type_start(self, offset: int = 0) -> bool:
-        tok = self._peek(offset)
-        if tok.kind is TokenKind.KEYWORD:
-            return tok.text in _TYPE_KEYWORDS or tok.text in _QUALIFIERS \
-                or tok.text in ("struct", "union", "enum")
-        if tok.kind is TokenKind.IDENT:
-            return tok.text in self._typedefs
-        return False
+        text = self._texts[self._i + offset]
+        return text in _TYPE_STARTS or text in self._typedefs
 
     def _parse_type_name(self) -> str:
         """Consume a type specifier and return its canonical text."""
+        texts = self._texts
         parts: list[str] = []
         while True:
-            tok = self._peek()
-            if tok.kind is TokenKind.KEYWORD and tok.text in _QUALIFIERS:
-                self._next()  # qualifiers dropped from canonical name
-            elif tok.kind is TokenKind.KEYWORD and tok.text in _TYPE_KEYWORDS:
-                parts.append(self._next().text)
-            elif tok.is_keyword("struct", "union", "enum"):
-                kw = self._next().text
-                name = ""
-                if self._peek().kind is TokenKind.IDENT:
-                    name = self._next().text
-                parts.append(f"{kw} {name}".strip())
-            elif (tok.kind is TokenKind.IDENT and tok.text in self._typedefs
-                  and not parts):
-                parts.append(self._next().text)
+            text = texts[self._i]
+            if text in _QUALIFIERS:
+                self._i += 1  # qualifiers dropped from canonical name
+            elif text in _TYPE_KEYWORDS:
+                self._i += 1
+                parts.append(text)
+            elif text in _TAGS:
+                self._i += 1
+                if self._toks[self._i].kind is _IDENT:
+                    text = f"{text} {texts[self._i]}"
+                    self._i += 1
+                parts.append(text)
+            elif text in self._typedefs and not parts:
+                self._i += 1
+                parts.append(text)
             else:
                 break
         if not parts:
-            raise ParseError("expected type name", self._peek())
+            raise ParseError("expected type name", self._toks[self._i])
         return " ".join(parts)
 
     # -- top level ----------------------------------------------------------
 
     def parse_translation_unit(self) -> A.TranslationUnit:
         """Parse the whole file."""
-        first = self._peek()
+        first = self._toks[0]
         unit = A.TranslationUnit(first.line, first.col, functions=[])
-        while self._peek().kind is not TokenKind.EOF:
-            tok = self._peek()
-            if tok.is_keyword("typedef"):
+        while self._toks[self._i].kind is not _EOF:
+            text = self._texts[self._i]
+            if text == "typedef":
                 self._parse_typedef(unit)
-            elif tok.is_keyword("struct", "union", "enum") and \
-                    self._looks_like_struct_def():
+            elif text in _TAGS and self._looks_like_struct_def():
                 unit.structs.append(self._parse_struct_def())
-            elif tok.is_punct(";"):
-                self._next()
+            elif text == ";":
+                self._i += 1
             elif self._is_type_start():
                 self._parse_external_declaration(unit)
             else:
-                raise ParseError("unexpected token at file scope", tok)
+                raise ParseError("unexpected token at file scope",
+                                 self._toks[self._i])
         return unit
 
     def _looks_like_struct_def(self) -> bool:
         # 'struct NAME {' or 'struct {'
-        offset = 1
-        if self._peek(offset).kind is TokenKind.IDENT:
-            offset += 1
-        return self._peek(offset).is_punct("{")
+        offset = 2 if self._toks[self._i + 1].kind is _IDENT else 1
+        return self._texts[self._i + offset] == "{"
 
     def _parse_struct_def(self) -> A.StructDef:
         start = self._next()  # struct/union/enum keyword
         name = ""
-        if self._peek().kind is TokenKind.IDENT:
+        if self._toks[self._i].kind is _IDENT:
             name = self._next().text
-            self._struct_names.add(name)
         self._expect_punct("{")
+        texts = self._texts
         fields: list[tuple[str, str]] = []
         if start.text == "enum":
-            while not self._peek().is_punct("}"):
+            while texts[self._i] != "}":
                 ident = self._expect_ident()
                 self._typedefs.discard(ident.text)
                 fields.append(("int", ident.text))
@@ -188,16 +206,14 @@ class Parser:
                 if not self._accept_punct(","):
                     break
         else:
-            while not self._peek().is_punct("}") and \
-                    self._peek().kind is not TokenKind.EOF:
+            while texts[self._i] != "}" and \
+                    self._toks[self._i].kind is not _EOF:
                 type_name = self._parse_type_name()
                 while True:
-                    depth = 0
-                    while self._accept_punct("*"):
-                        depth += 1
+                    depth = self._pointer_depth()
                     field_name = self._expect_ident().text
                     while self._accept_punct("["):
-                        if not self._peek().is_punct("]"):
+                        if texts[self._i] != "]":
                             self._parse_assignment()
                         self._expect_punct("]")
                     fields.append(("*" * depth + type_name, field_name))
@@ -206,81 +222,39 @@ class Parser:
                 self._expect_punct(";")
         self._expect_punct("}")
         # optional declarator names after the body: 'struct X {...} y;'
-        while self._peek().kind is TokenKind.IDENT or self._peek().is_punct("*"):
-            self._next()
+        while self._toks[self._i].kind is _IDENT or texts[self._i] == "*":
+            self._i += 1
         self._accept_punct(";")
         return A.StructDef(start.line, start.col, name=name, fields=fields)
 
     def _parse_typedef(self, unit: A.TranslationUnit) -> None:
-        self._expect_keyword("typedef")
-        if self._peek().is_keyword("struct", "union", "enum") and \
-                self._looks_like_struct_def():
+        self._i += 1  # 'typedef'
+        if self._texts[self._i] in _TAGS and self._looks_like_struct_def():
             struct = self._parse_struct_def()
             unit.structs.append(struct)
-            # The struct parser consumed trailing names; re-scan them is
-            # unnecessary — instead typedef names were eaten. Simplest
-            # robust approach: register the struct tag as a typedef too.
+            # The struct parser ate the typedef names after its body;
+            # register the struct tag as a typedef instead.
             if struct.name:
                 self._typedefs.add(struct.name)
             return
         self._parse_type_name()
-        while self._accept_punct("*"):
-            pass
-        name = self._expect_ident().text
-        self._typedefs.add(name)
+        self._pointer_depth()
+        self._typedefs.add(self._expect_ident().text)
         self._expect_punct(";")
 
     def _parse_external_declaration(self, unit: A.TranslationUnit) -> None:
-        start = self._peek()
+        start = self._toks[self._i]
         type_name = self._parse_type_name()
-        pointer_depth = 0
-        while self._accept_punct("*"):
-            pointer_depth += 1
+        depth = self._pointer_depth()
         name_tok = self._expect_ident()
-        if self._peek().is_punct("("):
-            fn = self._parse_function_rest(start, type_name, pointer_depth,
+        if self._texts[self._i] == "(":
+            fn = self._parse_function_rest(start, type_name, depth,
                                            name_tok)
             if fn is not None:
                 unit.functions.append(fn)
         else:
             unit.globals.append(
-                self._parse_global_decl_rest(start, type_name,
-                                             pointer_depth, name_tok))
-
-    def _parse_global_decl_rest(self, start: Token, type_name: str,
-                                pointer_depth: int,
-                                name_tok: Token) -> A.Decl:
-        """Finish a file-scope declaration whose type and first name
-        were already consumed."""
-        declarators: list[A.Declarator] = []
-        name = name_tok.text
-        depth = pointer_depth
-        while True:
-            sizes: list[A.Expr | None] = []
-            while self._accept_punct("["):
-                if self._peek().is_punct("]"):
-                    sizes.append(None)
-                else:
-                    sizes.append(self._parse_assignment())
-                self._expect_punct("]")
-            init = None
-            if self._accept_punct("="):
-                if self._peek().is_punct("{"):
-                    init = self._parse_init_list()
-                else:
-                    init = self._parse_assignment()
-            declarators.append(
-                A.Declarator(name=name, pointer_depth=depth,
-                             array_sizes=sizes, init=init))
-            if not self._accept_punct(","):
-                break
-            depth = 0
-            while self._accept_punct("*"):
-                depth += 1
-            name = self._expect_ident().text
-        self._expect_punct(";")
-        return A.Decl(start.line, start.col, type_name=type_name,
-                      declarators=declarators)
+                self._parse_declarators(start, type_name, depth, name_tok))
 
     def _parse_function_rest(
         self,
@@ -290,31 +264,30 @@ class Parser:
         name_tok: Token,
     ) -> A.FunctionDef | None:
         self._expect_punct("(")
+        texts = self._texts
         params: list[A.Param] = []
-        if not self._peek().is_punct(")"):
+        if texts[self._i] != ")":
             while True:
-                if self._peek().is_keyword("void") and \
-                        self._peek(1).is_punct(")"):
-                    self._next()
-                    break
-                if self._peek().is_punct("..."):
-                    self._next()
+                text = texts[self._i]
+                if text == "..." or \
+                        (text == "void" and texts[self._i + 1] == ")"):
+                    self._i += 1
                     break
                 ptype = self._parse_type_name()
-                pdepth = 0
-                while self._accept_punct("*"):
-                    pdepth += 1
+                pdepth = self._pointer_depth()
+                tok = self._toks[self._i]
                 pname = ""
-                pline = self._peek().line
-                if self._peek().kind is TokenKind.IDENT:
-                    pname = self._next().text
+                if tok.kind is _IDENT:
+                    self._i += 1
+                    pname = tok.text
                 is_array = False
                 while self._accept_punct("["):
                     is_array = True
-                    if not self._peek().is_punct("]"):
+                    if texts[self._i] != "]":
                         self._parse_assignment()
                     self._expect_punct("]")
-                params.append(A.Param(ptype, pname, pdepth, is_array, pline))
+                params.append(A.Param(ptype, pname, pdepth, is_array,
+                                      tok.line))
                 if not self._accept_punct(","):
                     break
         self._expect_punct(")")
@@ -331,146 +304,113 @@ class Parser:
     def _parse_block(self) -> A.Block:
         open_tok = self._expect_punct("{")
         stmts: list[A.Stmt] = []
-        while not self._peek().is_punct("}"):
-            if self._peek().kind is TokenKind.EOF:
-                raise ParseError("unterminated block", self._peek())
+        while self._texts[self._i] != "}":
+            if self._toks[self._i].kind is _EOF:
+                raise ParseError("unterminated block", self._toks[self._i])
             stmts.append(self._parse_statement())
-        close = self._expect_punct("}")
+        close = self._next()
         return A.Block(open_tok.line, open_tok.col, stmts=stmts,
                        end_line=close.line)
 
     def _parse_statement(self) -> A.Stmt:
-        tok = self._peek()
-        if tok.is_punct("{"):
+        tok = self._toks[self._i]
+        text = tok.text
+        parse_keyword = _KEYWORD_STATEMENTS.get(text)
+        if parse_keyword is not None:
+            return parse_keyword(self, tok)
+        if text == "{":
             return self._parse_block()
-        if tok.is_punct(";"):
-            self._next()
+        if text == ";":
+            self._i += 1
             return A.Empty(tok.line, tok.col)
-        if tok.is_keyword("if"):
-            return self._parse_if(is_elseif=False)
-        if tok.is_keyword("while"):
-            return self._parse_while()
-        if tok.is_keyword("do"):
-            return self._parse_do_while()
-        if tok.is_keyword("for"):
-            return self._parse_for()
-        if tok.is_keyword("switch"):
-            return self._parse_switch()
-        if tok.is_keyword("break"):
-            self._next()
-            self._expect_punct(";")
-            return A.Break(tok.line, tok.col)
-        if tok.is_keyword("continue"):
-            self._next()
-            self._expect_punct(";")
-            return A.Continue(tok.line, tok.col)
-        if tok.is_keyword("return"):
-            self._next()
-            value = None
-            if not self._peek().is_punct(";"):
-                value = self._parse_expression()
-            self._expect_punct(";")
-            return A.Return(tok.line, tok.col, value=value)
-        if tok.is_keyword("goto"):
-            self._next()
-            label = self._expect_ident().text
-            self._expect_punct(";")
-            return A.Goto(tok.line, tok.col, label=label)
-        if tok.kind is TokenKind.IDENT and self._peek(1).is_punct(":") and \
-                not self._peek(2).is_punct(":"):
-            self._next()
-            self._next()
+        texts = self._texts
+        if tok.kind is _IDENT and texts[self._i + 1] == ":" and \
+                texts[self._i + 2] != ":":
+            self._i += 2
             inner = self._parse_statement()
-            return A.Label(tok.line, tok.col, name=tok.text, stmt=inner)
-        if self._is_type_start() and self._looks_like_declaration():
-            return self._parse_declaration()
+            return A.Label(tok.line, tok.col, name=text, stmt=inner)
+        if self._is_type_start():
+            return self._parse_declarators(
+                tok, self._parse_type_name(), self._pointer_depth(),
+                self._expect_ident())
         expr = self._parse_expression()
         self._expect_punct(";")
         return A.ExprStmt(tok.line, tok.col, expr=expr)
 
-    def _looks_like_declaration(self) -> bool:
-        """Disambiguate 'T * x;' declaration from 'a * b;' expression.
-
-        Our type recognizer only fires on type keywords and registered
-        typedef names, so any type-start here really is a declaration.
-        """
-        return True
-
-    def _parse_declaration(self) -> A.Decl:
-        start = self._peek()
-        type_name = self._parse_type_name()
+    def _parse_declarators(self, start: Token, type_name: str, depth: int,
+                           name_tok: Token) -> A.Decl:
+        """Finish a declaration whose type, first pointer depth and
+        first name were consumed: sizes, initializers, more names."""
+        texts = self._texts
         declarators: list[A.Declarator] = []
+        name = name_tok.text
         while True:
-            depth = 0
-            while self._accept_punct("*"):
-                depth += 1
-            name = self._expect_ident().text
             sizes: list[A.Expr | None] = []
             while self._accept_punct("["):
-                if self._peek().is_punct("]"):
-                    sizes.append(None)
-                else:
-                    sizes.append(self._parse_assignment())
+                sizes.append(None if texts[self._i] == "]"
+                             else self._parse_assignment())
                 self._expect_punct("]")
             init = None
             if self._accept_punct("="):
-                if self._peek().is_punct("{"):
-                    init = self._parse_init_list()
-                else:
-                    init = self._parse_assignment()
+                init = (self._parse_init_list() if texts[self._i] == "{"
+                        else self._parse_assignment())
             declarators.append(
                 A.Declarator(name=name, pointer_depth=depth,
                              array_sizes=sizes, init=init))
             if not self._accept_punct(","):
                 break
+            depth = self._pointer_depth()
+            name = self._expect_ident().text
         self._expect_punct(";")
         return A.Decl(start.line, start.col, type_name=type_name,
                       declarators=declarators)
 
     def _parse_init_list(self) -> A.InitList:
         open_tok = self._expect_punct("{")
+        texts = self._texts
         items: list[A.Expr] = []
-        while not self._peek().is_punct("}"):
-            if self._peek().is_punct("{"):
-                items.append(self._parse_init_list())
-            else:
-                items.append(self._parse_assignment())
+        while texts[self._i] != "}":
+            items.append(self._parse_init_list() if texts[self._i] == "{"
+                         else self._parse_assignment())
             if not self._accept_punct(","):
                 break
         self._expect_punct("}")
         return A.InitList(open_tok.line, open_tok.col, items=items)
 
-    def _parse_if(self, *, is_elseif: bool) -> A.If:
-        start = self._expect_keyword("if")
+    def _parse_if(self, start: Token, is_elseif: bool = False) -> A.If:
+        self._i += 1  # 'if'
         self._expect_punct("(")
         cond = self._parse_expression()
         self._expect_punct(")")
         then = self._parse_statement()
         otherwise = None
         own_else_line = 0
-        if self._peek().is_keyword("else"):
-            else_tok = self._next()
-            own_else_line = else_tok.line
-            if self._peek().is_keyword("if"):
-                otherwise = self._parse_if(is_elseif=True)
+        if self._texts[self._i] == "else":
+            own_else_line = self._next().line
+            tok = self._toks[self._i]
+            if tok.text == "if":
+                otherwise = self._parse_if(tok, True)
             else:
                 otherwise = self._parse_statement()
         return A.If(start.line, start.col, cond=cond, then=then,
                     otherwise=otherwise, is_elseif=is_elseif,
                     else_line=own_else_line)
 
-    def _parse_while(self) -> A.While:
-        start = self._expect_keyword("while")
+    def _parse_while(self, start: Token) -> A.While:
+        self._i += 1  # 'while'
         self._expect_punct("(")
         cond = self._parse_expression()
         self._expect_punct(")")
         body = self._parse_statement()
         return A.While(start.line, start.col, cond=cond, body=body)
 
-    def _parse_do_while(self) -> A.DoWhile:
-        start = self._expect_keyword("do")
+    def _parse_do_while(self, start: Token) -> A.DoWhile:
+        self._i += 1  # 'do'
         body = self._parse_statement()
-        while_tok = self._expect_keyword("while")
+        while_tok = self._toks[self._i]
+        if while_tok.text != "while":
+            raise ParseError("expected keyword 'while'", while_tok)
+        self._i += 1
         self._expect_punct("(")
         cond = self._parse_expression()
         self._expect_punct(")")
@@ -478,51 +418,49 @@ class Parser:
         return A.DoWhile(start.line, start.col, body=body, cond=cond,
                          while_line=while_tok.line)
 
-    def _parse_for(self) -> A.For:
-        start = self._expect_keyword("for")
+    def _parse_for(self, start: Token) -> A.For:
+        self._i += 1  # 'for'
         self._expect_punct("(")
+        texts = self._texts
         init: A.Stmt | None = None
-        if not self._peek().is_punct(";"):
-            if self._is_type_start():
-                init = self._parse_declaration()
-            else:
-                expr = self._parse_expression()
-                init = A.ExprStmt(expr.line, expr.col, expr=expr)
-                self._expect_punct(";")
+        if texts[self._i] == ";":
+            self._i += 1
+        elif self._is_type_start():
+            init = self._parse_declarators(
+                self._toks[self._i], self._parse_type_name(),
+                self._pointer_depth(), self._expect_ident())
         else:
-            self._next()
-        cond = None
-        if not self._peek().is_punct(";"):
-            cond = self._parse_expression()
+            expr = self._parse_expression()
+            init = A.ExprStmt(expr.line, expr.col, expr=expr)
+            self._expect_punct(";")
+        cond = None if texts[self._i] == ";" else self._parse_expression()
         self._expect_punct(";")
-        step = None
-        if not self._peek().is_punct(")"):
-            step = self._parse_expression()
+        step = None if texts[self._i] == ")" else self._parse_expression()
         self._expect_punct(")")
         body = self._parse_statement()
         return A.For(start.line, start.col, init=init, cond=cond, step=step,
                      body=body)
 
-    def _parse_switch(self) -> A.Switch:
-        start = self._expect_keyword("switch")
+    def _parse_switch(self, start: Token) -> A.Switch:
+        self._i += 1  # 'switch'
         self._expect_punct("(")
         expr = self._parse_expression()
         self._expect_punct(")")
         self._expect_punct("{")
         cases: list[A.Case] = []
         current: A.Case | None = None
-        while not self._peek().is_punct("}"):
-            tok = self._peek()
-            if tok.kind is TokenKind.EOF:
+        while self._texts[self._i] != "}":
+            tok = self._toks[self._i]
+            if tok.kind is _EOF:
                 raise ParseError("unterminated switch", tok)
-            if tok.is_keyword("case"):
-                self._next()
+            if tok.text == "case":
+                self._i += 1
                 value = self._parse_expression()
                 self._expect_punct(":")
                 current = A.Case(tok.line, tok.col, value=value)
                 cases.append(current)
-            elif tok.is_keyword("default"):
-                self._next()
+            elif tok.text == "default":
+                self._i += 1
                 self._expect_punct(":")
                 current = A.Case(tok.line, tok.col, value=None)
                 cases.append(current)
@@ -530,147 +468,176 @@ class Parser:
                 if current is None:
                     raise ParseError("statement before first case label", tok)
                 current.stmts.append(self._parse_statement())
-        close = self._expect_punct("}")
+        close = self._next()
         return A.Switch(start.line, start.col, expr=expr, cases=cases,
                         end_line=close.line)
+
+    def _parse_jump(self, start: Token) -> A.Stmt:
+        """``break;``, ``continue;``, ``return [expr];``, ``goto L;``."""
+        self._i += 1
+        keyword = start.text
+        if keyword == "return":
+            value = None
+            if self._texts[self._i] != ";":
+                value = self._parse_expression()
+            self._expect_punct(";")
+            return A.Return(start.line, start.col, value=value)
+        if keyword == "goto":
+            label = self._expect_ident().text
+            self._expect_punct(";")
+            return A.Goto(start.line, start.col, label=label)
+        self._expect_punct(";")
+        jump = A.Break if keyword == "break" else A.Continue
+        return jump(start.line, start.col)
 
     # -- expressions ----------------------------------------------------------
 
     def _parse_expression(self) -> A.Expr:
         expr = self._parse_assignment()
-        while self._peek().is_punct(","):
+        while self._texts[self._i] == ",":
             comma = self._next()
             right = self._parse_assignment()
             expr = A.Comma(comma.line, comma.col, left=expr, right=right)
         return expr
 
     def _parse_assignment(self) -> A.Expr:
-        left = self._parse_ternary()
-        tok = self._peek()
-        if tok.kind is TokenKind.PUNCT and tok.text in _ASSIGN_OPS:
-            self._next()
-            right = self._parse_assignment()
-            return A.Assign(tok.line, tok.col, op=tok.text, target=left,
-                            value=right)
-        return left
+        """Assignment, ternary and binary levels in one frame.
 
-    def _parse_ternary(self) -> A.Expr:
-        cond = self._parse_binary(1)
-        if self._peek().is_punct("?"):
-            q = self._next()
+        Binary operators reduce on an operator stack, left-associative
+        within a precedence level: the tree precedence climbing builds.
+        """
+        toks = self._toks
+        expr = self._parse_unary()
+        tok = toks[self._i]
+        prec = _BINARY_PRECEDENCE.get(tok.text)
+        if prec is not None:
+            operands = [expr]
+            operators: list[tuple[int, Token]] = []
+            while True:
+                while operators and operators[-1][0] >= prec:
+                    op = operators.pop()[1]
+                    right = operands.pop()
+                    operands[-1] = A.Binary(op.line, op.col, op=op.text,
+                                            left=operands[-1], right=right)
+                if not prec:
+                    break
+                operators.append((prec, tok))
+                self._i += 1
+                operands.append(self._parse_unary())
+                tok = toks[self._i]
+                prec = _BINARY_PRECEDENCE.get(tok.text, 0)
+            expr = operands[0]
+        text = tok.text
+        if text == "?":
+            self._i += 1
             then = self._parse_assignment()
             self._expect_punct(":")
             otherwise = self._parse_assignment()
-            return A.Ternary(q.line, q.col, cond=cond, then=then,
+            return A.Ternary(tok.line, tok.col, cond=expr, then=then,
                              otherwise=otherwise)
-        return cond
-
-    def _parse_binary(self, min_prec: int) -> A.Expr:
-        left = self._parse_unary()
-        while True:
-            tok = self._peek()
-            prec = _BINARY_PRECEDENCE.get(tok.text) \
-                if tok.kind is TokenKind.PUNCT else None
-            if prec is None or prec < min_prec:
-                return left
-            self._next()
-            right = self._parse_binary(prec + 1)
-            left = A.Binary(tok.line, tok.col, op=tok.text, left=left,
-                            right=right)
+        if text in _ASSIGN_OPS:
+            self._i += 1
+            value = self._parse_assignment()
+            return A.Assign(tok.line, tok.col, op=text, target=expr,
+                            value=value)
+        return expr
 
     def _parse_unary(self) -> A.Expr:
-        tok = self._peek()
-        if tok.kind is TokenKind.PUNCT and tok.text in \
-                ("+", "-", "!", "~", "*", "&", "++", "--"):
-            self._next()
+        """A prefix, cast or ``sizeof`` operator, or a primary and its
+        postfix operators."""
+        tok = self._toks[self._i]
+        text = tok.text
+        if text in _PREFIX_OPS:
+            self._i += 1
             operand = self._parse_unary()
-            return A.Unary(tok.line, tok.col, op=tok.text, operand=operand,
+            return A.Unary(tok.line, tok.col, op=text, operand=operand,
                            prefix=True)
-        if tok.is_keyword("sizeof"):
-            self._next()
-            if self._peek().is_punct("(") and self._is_type_start(1):
-                self._next()
-                type_name = self._parse_type_name()
-                while self._accept_punct("*"):
-                    type_name += "*"
-                self._expect_punct(")")
-                return A.SizeOf(tok.line, tok.col, arg=type_name)
+        if text == "sizeof":
+            self._i += 1
+            if self._texts[self._i] == "(" and self._is_type_start(1):
+                return A.SizeOf(tok.line, tok.col,
+                                arg=self._parse_parenthesized_type())
             operand = self._parse_unary()
             return A.SizeOf(tok.line, tok.col, arg=operand)
-        if tok.is_punct("(") and self._is_type_start(1):
-            # Cast: '(' type-name ')' unary
-            self._next()
-            type_name = self._parse_type_name()
-            while self._accept_punct("*"):
-                type_name += "*"
-            self._expect_punct(")")
+        if text == "(" and self._is_type_start(1):
+            type_name = self._parse_parenthesized_type()
             operand = self._parse_unary()
             return A.Cast(tok.line, tok.col, type_name=type_name,
                           expr=operand)
-        return self._parse_postfix()
+        return self._parse_postfix(self._parse_primary(tok))
 
-    def _parse_postfix(self) -> A.Expr:
-        expr = self._parse_primary()
-        while True:
-            tok = self._peek()
-            if tok.is_punct("("):
-                self._next()
-                args: list[A.Expr] = []
-                if not self._peek().is_punct(")"):
-                    while True:
-                        args.append(self._parse_assignment())
-                        if not self._accept_punct(","):
-                            break
-                self._expect_punct(")")
-                expr = A.Call(tok.line, tok.col, func=expr, args=args)
-            elif tok.is_punct("["):
-                self._next()
-                index = self._parse_expression()
-                self._expect_punct("]")
-                expr = A.Index(tok.line, tok.col, base=expr, index=index)
-            elif tok.is_punct("."):
-                self._next()
-                name = self._expect_ident().text
-                expr = A.Member(tok.line, tok.col, base=expr, name=name,
-                                arrow=False)
-            elif tok.is_punct("->"):
-                self._next()
-                name = self._expect_ident().text
-                expr = A.Member(tok.line, tok.col, base=expr, name=name,
-                                arrow=True)
-            elif tok.is_punct("++", "--"):
-                self._next()
-                expr = A.Unary(tok.line, tok.col, op=tok.text, operand=expr,
-                               prefix=False)
-            else:
-                return expr
+    def _parse_parenthesized_type(self) -> str:
+        """``( type-name *... )`` of a cast or ``sizeof``."""
+        self._i += 1  # '('
+        type_name = self._parse_type_name() + "*" * self._pointer_depth()
+        self._expect_punct(")")
+        return type_name
 
-    def _parse_primary(self) -> A.Expr:
-        tok = self._peek()
-        if tok.kind is TokenKind.NUMBER:
-            self._next()
-            return A.Number(tok.line, tok.col, text=tok.text)
-        if tok.kind is TokenKind.STRING:
-            self._next()
-            # Adjacent string literal concatenation.
-            text = tok.text
-            while self._peek().kind is TokenKind.STRING:
-                extra = self._next().text
-                text = text[:-1] + extra[1:]
-            return A.StringLit(tok.line, tok.col, text=text)
-        if tok.kind is TokenKind.CHAR:
-            self._next()
-            return A.CharLit(tok.line, tok.col, text=tok.text)
-        if tok.kind is TokenKind.IDENT or tok.is_keyword("true", "false",
-                                                         "NULL"):
-            self._next()
+    def _parse_primary(self, tok: Token) -> A.Expr:
+        kind = tok.kind
+        if kind is _IDENT or tok.text in _CONSTANTS:
+            self._i += 1
             return A.Ident(tok.line, tok.col, name=tok.text)
-        if tok.is_punct("("):
-            self._next()
+        if tok.text == "(":
+            self._i += 1
             expr = self._parse_expression()
             self._expect_punct(")")
             return expr
+        if kind is TokenKind.NUMBER:
+            self._i += 1
+            return A.Number(tok.line, tok.col, text=tok.text)
+        if kind is TokenKind.STRING:
+            self._i += 1
+            # Adjacent string literal concatenation.
+            text = tok.text
+            while self._toks[self._i].kind is TokenKind.STRING:
+                text = text[:-1] + self._next().text[1:]
+            return A.StringLit(tok.line, tok.col, text=text)
+        if kind is TokenKind.CHAR:
+            self._i += 1
+            return A.CharLit(tok.line, tok.col, text=tok.text)
         raise ParseError("expected expression", tok)
+
+    def _parse_postfix(self, expr: A.Expr) -> A.Expr:
+        toks, texts = self._toks, self._texts
+        while texts[self._i] in _POSTFIX_OPS:
+            tok = toks[self._i]
+            text = tok.text
+            self._i += 1
+            if text == "(":
+                args: list[A.Expr] = []
+                if texts[self._i] != ")":
+                    args.append(self._parse_assignment())
+                    while self._accept_punct(","):
+                        args.append(self._parse_assignment())
+                self._expect_punct(")")
+                expr = A.Call(tok.line, tok.col, func=expr, args=args)
+            elif text == "[":
+                index = self._parse_expression()
+                self._expect_punct("]")
+                expr = A.Index(tok.line, tok.col, base=expr, index=index)
+            elif text == "." or text == "->":
+                name = self._expect_ident().text
+                expr = A.Member(tok.line, tok.col, base=expr, name=name,
+                                arrow=text == "->")
+            else:
+                expr = A.Unary(tok.line, tok.col, op=text, operand=expr,
+                               prefix=False)
+        return expr
+
+
+#: statements that open with a keyword, by that keyword
+_KEYWORD_STATEMENTS = {
+    "if": Parser._parse_if,
+    "while": Parser._parse_while,
+    "do": Parser._parse_do_while,
+    "for": Parser._parse_for,
+    "switch": Parser._parse_switch,
+    "break": Parser._parse_jump,
+    "continue": Parser._parse_jump,
+    "return": Parser._parse_jump,
+    "goto": Parser._parse_jump,
+}
 
 
 def parse(source: str | SourceFile) -> A.TranslationUnit:

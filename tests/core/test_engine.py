@@ -25,6 +25,7 @@ from repro.core.score import predict_proba
 from repro.core.telemetry import Telemetry
 from repro.core.train import train_classifier
 from repro.datasets.sard import generate_sard_corpus
+from repro.embedding.vocab import Vocabulary
 from repro.models.sevuldet import SEVulDetNet
 
 
@@ -144,6 +145,25 @@ class TestEncodeAndTrainEquivalence:
             assert ours.label == theirs.label
         assert np.array_equal(dataset.word2vec.vectors,
                               expected.word2vec.vectors)
+
+    def test_encode_gadgets_encodes_each_gadget_once(
+            self, reference_gadgets, monkeypatch):
+        """The word2vec corpora and the samples share one encode per
+        gadget."""
+        calls = []
+        encode = Vocabulary.encode
+
+        def counted(vocab, tokens):
+            calls.append(len(tokens))
+            return encode(vocab, tokens)
+
+        monkeypatch.setattr(Vocabulary, "encode", counted)
+        dataset = encode_gadgets(reference_gadgets, dim=8, w2v_epochs=1,
+                                 seed=5)
+        assert len(calls) == len(reference_gadgets)
+        assert [s.token_ids for s in dataset.samples] == \
+            [tuple(dataset.vocab.encode(list(g.tokens)))
+             for g in reference_gadgets]
 
     def test_fit_weights_match_explicit_composition(
             self, corpus, reference_gadgets):

@@ -120,6 +120,24 @@ class TestByteIdentity:
             assert len(verdict.findings) == verdict.gadgets
             assert list(verdict.findings) == findings  # bit-equal
 
+    def test_serial_detect_encodes_each_distinct_row_once(
+            self, detector, monkeypatch):
+        """``detect_case`` scores both twin gadgets but encodes their
+        shared token row once, as the service does."""
+        monkeypatch.setattr(detector, "threshold", 0.0)
+        encoded = []
+        sample = LabeledGadget.sample
+
+        def counted(gadget, vocab):
+            encoded.append(gadget.tokens)
+            return sample(gadget, vocab)
+
+        monkeypatch.setattr(LabeledGadget, "sample", counted)
+        findings = detector.detect_case(source_case("twin.c", TWIN_SOURCE))
+        assert len(findings) == 2
+        assert findings[0].score == findings[1].score
+        assert len(encoded) == 1
+
 
 class TestWarmCacheParity:
     def test_warm_caches_match_cold_service_and_serial(
