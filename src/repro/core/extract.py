@@ -130,10 +130,12 @@ _CaseOutcome = tuple
 
 
 def _line_gadget(program, criterion, manifest, config: _ExtractConfig,
-                 local: Telemetry
+                 local: Telemetry, labeled: dict
                  ) -> tuple[CodeGadget, tuple[str, ...]] | None:
     """Slice/label/normalize at a criterion's function and line, all
-    they read of it (None if it slices empty)."""
+    they read of it (None if it slices empty).  Labels and texts are
+    functions of line numbers, so ``labeled`` keeps one label and
+    normalization per line sequence of the case."""
     with local.stage("slice"):
         if config.kind == "path-sensitive":
             gadget = path_sensitive_gadget(program, criterion)
@@ -142,10 +144,13 @@ def _line_gadget(program, criterion, manifest, config: _ExtractConfig,
                                     use_control=config.use_control)
     if not gadget.lines:
         return None
-    gadget.label = label_gadget(gadget, manifest)
-    with local.stage("normalize"):
-        normalized = normalize_gadget(gadget)
-    return gadget, tuple(normalized.tokens)
+    key = tuple(gadget.line_numbers())
+    if key not in labeled:
+        with local.stage("normalize"):
+            tokens = tuple(normalize_gadget(gadget).tokens)
+        labeled[key] = (label_gadget(gadget, manifest), tokens)
+    gadget.label, tokens = labeled[key]
+    return gadget, tokens
 
 
 def _extract_case(case: TestCase, config: _ExtractConfig,
@@ -170,10 +175,12 @@ def _extract_case(case: TestCase, config: _ExtractConfig,
     sorted by ``(function, line, category, token)`` — function groups
     are contiguous, so concatenating per-function lists (cached or
     fresh) reproduces the cache-free gadget order byte for byte.
-    Criteria on one line share one :func:`_line_gadget`.
+    Criteria on one line share one :func:`_line_gadget`, and gadgets
+    with one line sequence share one label and normalization.
     """
     local = Telemetry()
     gadgets: list[LabeledGadget] = []
+    labeled: dict[tuple[int, ...], tuple] = {}
     failure: CaseFailure | None = None
     try:
         with time_limit(config.case_timeout):
@@ -205,7 +212,8 @@ def _extract_case(case: TestCase, config: _ExtractConfig,
                 for criterion in fn_criteria:
                     if criterion.line not in per_line:
                         per_line[criterion.line] = _line_gadget(
-                            program, criterion, manifest, config, local)
+                            program, criterion, manifest, config, local,
+                            labeled)
                     made = per_line[criterion.line]
                     if made is None:
                         continue

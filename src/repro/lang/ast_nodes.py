@@ -11,6 +11,7 @@ enabling generic traversal (:func:`walk`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional
 
 __all__ = [
@@ -412,6 +413,13 @@ class FunctionDef(Node):
 
     def children(self) -> Iterator[Node]:
         yield self.body
+
+    @cached_property
+    def body_nodes(self) -> tuple[Node, ...]:
+        """:func:`walk` of the body, computed once: the call graph and
+        special-token identification read the same pre-order list (not
+        a dataclass field, so AST equality ignores it)."""
+        return tuple(walk(self.body))
 
 
 @dataclass

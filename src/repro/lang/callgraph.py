@@ -38,7 +38,7 @@ def ast_call_edges(unit: A.TranslationUnit) -> dict[str, list[str]]:
     edges: dict[str, list[str]] = {}
     for fn in unit.functions:
         seen = edges.setdefault(fn.name, [])
-        for node in A.walk(fn.body):
+        for node in fn.body_nodes:
             if isinstance(node, A.Call):
                 callee = node.callee_name
                 if callee in defined and callee not in seen:
@@ -203,6 +203,9 @@ class AnalyzedProgram:
                                        repr=False)
     _brace_pairs: list[tuple[int, int]] | None = field(
         default=None, init=False, repr=False)
+    # repro.slicing.gadget.assemble_once: one gadget per distinct slice
+    _gadget_cache: dict = field(default_factory=dict, init=False,
+                                repr=False)
 
     def __post_init__(self) -> None:
         self.pdgs = _LazyPDGMap(self.unit)

@@ -10,7 +10,7 @@ unguarded programs of Fig 1 produce identical classic gadgets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 from ..lang.callgraph import AnalyzedProgram
 from ..lang.pdg import PDG
@@ -18,7 +18,7 @@ from .slicer import Slice, compute_slice
 from .special_tokens import SlicingCriterion
 
 __all__ = ["GadgetLine", "CodeGadget", "order_functions",
-           "assemble_classic_gadget", "classic_gadget"]
+           "assemble_classic_gadget", "assemble_once", "classic_gadget"]
 
 
 @dataclass(frozen=True)
@@ -128,8 +128,35 @@ def assemble_classic_gadget(program: AnalyzedProgram,
                       source_path=program.source.path)
 
 
+def assemble_once(program: AnalyzedProgram, slice_: Slice,
+                  assemble: Callable[[AnalyzedProgram, Slice], CodeGadget]
+                  ) -> CodeGadget:
+    """``assemble(program, slice_)``, run once per distinct slice.
+
+    An assembler reads only each sliced function's PDG (kept as long as
+    ``program``, so keyed by identity) and line set, and the criterion's
+    line.  A later criterion with an equal slice gets a copy re-roled
+    for it: the old criterion line, always in its own slice, becomes
+    ``slice`` and the new criterion line becomes ``criterion``.
+    """
+    key = (assemble, frozenset((name, id(slice_.pdgs[name]),
+                                frozenset(lines))
+                               for name, lines in slice_.lines().items()))
+    made = program._gadget_cache.get(key)
+    if made is None:
+        made = program._gadget_cache[key] = assemble(program, slice_)
+    new = slice_.criterion
+    lines = [GadgetLine(line.function, line.line, line.text, "criterion")
+             if line.line == new.line and line.function == new.function
+             else GadgetLine(line.function, line.line, line.text, "slice")
+             if line.role == "criterion" else line
+             for line in made.lines]
+    return CodeGadget(new, lines, kind=made.kind,
+                      source_path=made.source_path)
+
+
 def classic_gadget(program: AnalyzedProgram, criterion: SlicingCriterion,
                    *, use_control: bool = True) -> CodeGadget:
     """Slice + assemble in one call (the CG baseline pipeline)."""
     slice_ = compute_slice(program, criterion, use_control=use_control)
-    return assemble_classic_gadget(program, slice_)
+    return assemble_once(program, slice_, assemble_classic_gadget)

@@ -32,7 +32,7 @@ from typing import Iterable
 from ..lang import ast_nodes as A
 from ..lang.callgraph import AnalyzedProgram
 from ..lang.lexer import Token, TokenKind, tokenize
-from .gadget import CodeGadget, GadgetLine, order_functions
+from .gadget import CodeGadget, GadgetLine, assemble_once, order_functions
 from .slicer import Slice, compute_slice
 from .special_tokens import SlicingCriterion
 
@@ -253,4 +253,4 @@ def path_sensitive_gadget(program: AnalyzedProgram,
                           criterion: SlicingCriterion) -> CodeGadget:
     """Slice + Algorithm 1 in one call (the SEVulDet pipeline)."""
     slice_ = compute_slice(program, criterion, use_control=True)
-    return assemble_path_sensitive_gadget(program, slice_)
+    return assemble_once(program, slice_, assemble_path_sensitive_gadget)

@@ -78,25 +78,16 @@ class _Collector:
         self.function = function
         self.criteria: list[SlicingCriterion] = []
         self._seen: set[tuple[int, TokenCategory, str]] = set()
-        self._pointer_vars = self._pointer_variables(function)
-        self._array_vars = self._array_variables(function)
-
-    @staticmethod
-    def _pointer_variables(function: A.FunctionDef) -> set[str]:
-        names = {p.name for p in function.params if p.pointer_depth > 0}
-        for node in A.walk(function.body):
+        self._pointer_vars = {p.name for p in function.params
+                              if p.pointer_depth > 0}
+        self._array_vars = {p.name for p in function.params if p.is_array}
+        for node in function.body_nodes:
             if isinstance(node, A.Decl):
-                names.update(d.name for d in node.declarators
-                             if d.is_pointer)
-        return names
-
-    @staticmethod
-    def _array_variables(function: A.FunctionDef) -> set[str]:
-        names = {p.name for p in function.params if p.is_array}
-        for node in A.walk(function.body):
-            if isinstance(node, A.Decl):
-                names.update(d.name for d in node.declarators if d.is_array)
-        return names
+                for d in node.declarators:
+                    if d.is_pointer:
+                        self._pointer_vars.add(d.name)
+                    if d.is_array:
+                        self._array_vars.add(d.name)
 
     def _add(self, line: int, category: TokenCategory, token: str) -> None:
         key = (line, category, token)
@@ -106,7 +97,7 @@ class _Collector:
                 SlicingCriterion(self.function.name, line, category, token))
 
     def collect(self) -> list[SlicingCriterion]:
-        for node in A.walk(self.function.body):
+        for node in self.function.body_nodes:
             self._visit(node)
         return self.criteria
 
