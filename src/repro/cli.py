@@ -545,7 +545,9 @@ def _cmd_scan_diff(args: argparse.Namespace, service) -> int:
         return 2
     for rel in report.changed_files:
         frontier = report.frontier.get(rel)
-        if frontier:
+        if rel not in report.verdicts:
+            print(f"{rel}: removed")
+        elif frontier:
             print(f"{rel}: re-slicing {', '.join(frontier)}")
         else:
             print(f"{rel}: changed")

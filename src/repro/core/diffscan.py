@@ -31,12 +31,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from ..lang.callgraph import ast_call_edges
-from ..lang.parser import ParseError, parse
-from ..lang.source import SourceFile
-from .fingerprint import (DEFAULT_FRONTIER_DEPTH, changed_functions,
-                          invalidation_frontier)
+from ..datasets.manifest import TestCase
+from ..lang.callgraph import AnalyzedProgram, analyze
+from ..lang.parser import ParseError
+from .fingerprint import (DEFAULT_FRONTIER_DEPTH, function_fingerprints,
+                          invalidation_frontier, program_fingerprints)
 from .serve import ScanService, case_for_file
+from .telemetry import Telemetry
 
 __all__ = ["VerdictDelta", "DiffReport", "DiffScanner", "WatchLoop",
            "compute_deltas"]
@@ -95,21 +96,28 @@ def _relative_files(root: Path, pattern: str) -> dict[str, Path]:
             for path in sorted(root.rglob(pattern))}
 
 
-def _file_frontier(base_source: str, target_source: str,
-                   depth: int) -> list[str]:
+def _file_frontier(base_source: str | None, target: TestCase,
+                   depth: int, telemetry: Telemetry
+                   ) -> tuple[list[str], AnalyzedProgram | None]:
     """Reported re-slice plan for one changed file: edited functions
     plus callers within ``depth`` hops (in the *target* call graph;
     when the target does not parse, the fingerprint diff alone).
-    Each version is lexed once."""
-    target = SourceFile("<target>", target_source)
-    changed = changed_functions(base_source, target.tokens)
-    if not changed:
-        return []
+    Returns the target's analyzed program too (None when it does not
+    parse), for extraction to slice.  Each version is lexed once."""
+    base = (function_fingerprints(base_source)
+            if base_source is not None else {})
     try:
-        edges = ast_call_edges(parse(target))
+        with telemetry.stage("analyze"):
+            program = analyze(target.source, path=target.name)
     except (ParseError, RecursionError):
-        return sorted(changed)
-    return sorted(invalidation_frontier(edges, changed, depth))
+        program, edges = None, {}
+        fingerprints = function_fingerprints(target.source)
+    else:
+        edges = program.call_graph.edges
+        fingerprints = program_fingerprints(program)
+    changed = {name for name in base.keys() | fingerprints.keys()
+               if base.get(name) != fingerprints.get(name)}
+    return sorted(invalidation_frontier(edges, changed, depth)), program
 
 
 @dataclass
@@ -119,7 +127,8 @@ class DiffReport:
     ``verdicts`` maps every target relpath to its verdict record;
     ``frontier`` maps each changed file to the functions planned for
     re-slicing (reporting — cache keys decide actual reuse, and only
-    ever over-invalidate); ``deltas`` is the gate-facing stream.
+    ever over-invalidate; none when removed); ``deltas`` is the
+    gate-facing stream.
     """
 
     base_root: str
@@ -145,15 +154,22 @@ class DiffScanner:
         self.pattern = pattern
         self.frontier_depth = frontier_depth
 
+    def _tree_cases(self, root: Path) -> dict[str, TestCase]:
+        """relpath -> scan case for every matching file under
+        ``root``, each file read once."""
+        return {rel: case_for_file(path, name=rel)
+                for rel, path in _relative_files(root,
+                                                 self.pattern).items()}
+
+    def _scan(self, cases: Iterable[TestCase],
+              programs=None) -> dict[str, dict]:
+        return {verdict.name: verdict.as_record()
+                for verdict in self.service.scan_stream(cases, programs)}
+
     def scan_tree(self, root: str | Path) -> dict[str, dict]:
         """Scan every matching file under ``root``; relpath-keyed
         verdict records."""
-        root = Path(root)
-        files = _relative_files(root, self.pattern)
-        cases = [case_for_file(path, name=rel)
-                 for rel, path in files.items()]
-        return {verdict.name: verdict.as_record()
-                for verdict in self.service.scan_stream(cases)}
+        return self._scan(self._tree_cases(Path(root)).values())
 
     def diff(self, base: str | Path,
              target: str | Path) -> DiffReport:
@@ -165,29 +181,31 @@ class DiffScanner:
         hits, changed files re-slice their invalidated components.
         Target verdicts are byte-identical to a cold scan of the
         target tree alone.
+        Each tree is walked and read once; a changed target is
+        analyzed once, for its frontier and (inline) its extraction.
         """
         base, target = Path(base), Path(target)
         report = DiffReport(base_root=str(base),
                             target_root=str(target))
-        base_files = _relative_files(base, self.pattern)
-        target_files = _relative_files(target, self.pattern)
-        for rel in sorted(base_files.keys() | target_files.keys()):
-            base_path = base_files.get(rel)
-            target_path = target_files.get(rel)
-            base_text = (base_path.read_text(encoding="utf-8",
-                                             errors="replace")
-                         if base_path else None)
-            target_text = (target_path.read_text(encoding="utf-8",
-                                                 errors="replace")
-                           if target_path else None)
-            if base_text == target_text:
+        base_cases = self._tree_cases(base)
+        target_cases = self._tree_cases(target)
+        programs: dict[str, AnalyzedProgram] = {}
+        for rel in sorted(base_cases.keys() | target_cases.keys()):
+            old, new = base_cases.get(rel), target_cases.get(rel)
+            base_text = old.source if old is not None else None
+            if new is not None and base_text == new.source:
                 continue
             report.changed_files.append(rel)
-            report.frontier[rel] = _file_frontier(
-                base_text or "", target_text or "",
-                self.frontier_depth)
-        report.base_verdicts = self.scan_tree(base)
-        report.verdicts = self.scan_tree(target)
+            if new is None:
+                report.frontier[rel] = []  # removed: nothing re-slices
+                continue
+            report.frontier[rel], program = _file_frontier(
+                base_text, new, self.frontier_depth,
+                self.service.telemetry)
+            if program is not None:
+                programs[new.fingerprint()] = program
+        report.base_verdicts = self._scan(base_cases.values())
+        report.verdicts = self._scan(target_cases.values(), programs)
         report.deltas = compute_deltas(report.base_verdicts,
                                        report.verdicts)
         return report

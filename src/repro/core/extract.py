@@ -31,7 +31,7 @@ from ..slicing.path_sensitive import path_sensitive_gadget
 from ..slicing.special_tokens import (SlicingCriterion, TokenCategory,
                                       find_special_tokens)
 from ..testing import faults
-from .fingerprint import component_digests, function_fingerprints
+from .fingerprint import component_digests, program_fingerprints
 from .resilience import (QUARANTINE_REASONS, CaseFailure, CaseTimeout,
                          coerce_quarantine, time_limit)
 from .telemetry import Telemetry
@@ -154,7 +154,7 @@ def _line_gadget(program, criterion, manifest, config: _ExtractConfig,
 
 
 def _extract_case(case: TestCase, config: _ExtractConfig,
-                  fn_cache=None) -> _CaseOutcome:
+                  fn_cache=None, programs=None) -> _CaseOutcome:
     """Pure per-case body of :func:`extract_gadgets`.
 
     Analyzes, slices, labels, and normalizes one program, returning its
@@ -177,6 +177,9 @@ def _extract_case(case: TestCase, config: _ExtractConfig,
     fresh) reproduces the cache-free gadget order byte for byte.
     Criteria on one line share one :func:`_line_gadget`, and gadgets
     with one line sequence share one label and normalization.
+
+    ``programs`` maps case fingerprints to programs already analyzed
+    (by a diff's frontier); such a case is sliced from its program.
     """
     local = Telemetry()
     gadgets: list[LabeledGadget] = []
@@ -185,15 +188,17 @@ def _extract_case(case: TestCase, config: _ExtractConfig,
     try:
         with time_limit(config.case_timeout):
             faults.fire("case", case.name)
-            with local.stage("analyze"):
-                program = analyze(case.source, path=case.name)
+            program = programs.get(case.fingerprint()) if programs else None
+            if program is None:
+                with local.stage("analyze"):
+                    program = analyze(case.source, path=case.name)
             manifest = case.manifest()
             criteria = find_special_tokens(program, config.wanted)
             if config.keep_gadget:
                 fn_cache = None  # cached records drop the raw gadgets
             if fn_cache is not None:
                 digests = component_digests(
-                    function_fingerprints(program.source.tokens),
+                    program_fingerprints(program),
                     program.call_graph.edges)
                 token = config.cache_token()
             for fn_name, fn_criteria in groupby(
@@ -409,9 +414,10 @@ class CorpusExtractor:
     # -- extraction ----------------------------------------------------------
 
     def run(self, cases: Sequence[TestCase],
-            failures: list[CaseFailure] | None = None
-            ) -> list[CaseResult]:
-        """Extract every case; results come back in corpus order."""
+            failures: list[CaseFailure] | None = None,
+            programs=None) -> list[CaseResult]:
+        """Extract every case; results come back in corpus order.
+        Inline extraction reads ``programs`` as ``_extract_case`` does."""
         telemetry = self.telemetry
         config = self.config
         quarantine = self.quarantine
@@ -490,8 +496,8 @@ class CorpusExtractor:
         elif pending:
             with telemetry.stage("extract"):
                 for index in pending:
-                    outcomes[index] = _extract_case(cases[index], config,
-                                                    self.fn_cache)
+                    outcomes[index] = _extract_case(
+                        cases[index], config, self.fn_cache, programs)
 
         for index in sorted(outcomes):
             gadgets, stats, failure = outcomes[index]

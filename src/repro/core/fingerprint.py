@@ -37,9 +37,9 @@ from typing import Iterable, Mapping, Sequence
 from ..lang.lexer import Token, TokenKind, tokenize
 
 __all__ = ["FINGERPRINT_VERSION", "DEFAULT_FRONTIER_DEPTH",
-           "function_fingerprints", "changed_functions",
-           "invalidation_frontier", "weak_components",
-           "component_digests"]
+           "function_fingerprints", "program_fingerprints",
+           "changed_functions", "invalidation_frontier",
+           "weak_components", "component_digests"]
 
 #: Bump when span recovery or fingerprint content changes — folded
 #: into function-level cache keys so stale entries are never served.
@@ -150,6 +150,15 @@ def function_fingerprints(source: str | Sequence[Token]) -> dict[str, str]:
                           f"{tok.line}\x1e".encode("utf-8"))
     return {name: digest.hexdigest()
             for name, digest in digests.items()}
+
+
+def program_fingerprints(program) -> dict[str, str]:
+    """:func:`function_fingerprints` of an analyzed program, computed
+    once and kept on the program (a diff's frontier and extraction)."""
+    if program._fingerprints is None:
+        program._fingerprints = function_fingerprints(
+            program.source.tokens)
+    return program._fingerprints
 
 
 def changed_functions(base_source: str | Sequence[Token],

@@ -453,8 +453,8 @@ class ScanService:
         """
         return list(self.scan_stream(cases))
 
-    def scan_stream(self, cases: Sequence[TestCase]
-                    ) -> Iterator[CaseVerdict]:
+    def scan_stream(self, cases: Sequence[TestCase],
+                    programs=None) -> Iterator[CaseVerdict]:
         """Scan a corpus, yielding verdicts *in input order* as they
         resolve.
 
@@ -484,6 +484,9 @@ class ScanService:
         extracted and scored, later ones copy its verdict — a case's
         fingerprint covers its name and content, so the copies are
         byte-identical to scoring each duplicate independently.
+
+        ``programs`` maps case fingerprints to programs the caller
+        already analyzed (diff mode's frontier) for extraction to use.
         """
         if self._closed:
             raise RuntimeError("scan service is closed")
@@ -524,7 +527,8 @@ class ScanService:
                         for start in range(0, len(misses), 16):
                             chunk = misses[start:start + 16]
                             results = extractor.run(
-                                [entry.case for entry in chunk])
+                                [entry.case for entry in chunk],
+                                programs=programs)
                             for entry, result in zip(chunk, results):
                                 self._admit(entry, result)
                                 entry.ready.set()

@@ -206,6 +206,8 @@ class AnalyzedProgram:
     # repro.slicing.gadget.assemble_once: one gadget per distinct slice
     _gadget_cache: dict = field(default_factory=dict, init=False,
                                 repr=False)
+    # repro.core.fingerprint.program_fingerprints: one hash per function
+    _fingerprints: dict | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.pdgs = _LazyPDGMap(self.unit)

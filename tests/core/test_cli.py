@@ -329,6 +329,19 @@ class TestDiffAndWatchCli:
         # the frontier names the edited function and its caller
         assert "re-slicing compute, helper" in out
 
+    def test_diff_removed_file(self, model, tmp_path, capsys):
+        stable = "int main() { int a = 1; return a; }\n"
+        base = self._tree(tmp_path / "base", {
+            "pkg/x.c": BETA_SOURCE, "pkg/stable.c": stable})
+        target = self._tree(tmp_path / "target",
+                            {"pkg/stable.c": stable})
+        code = main(["scan", str(target), "--model", str(model),
+                     "--threshold", "0.5", "--diff", str(base)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "pkg/x.c: removed" in out
+        assert "re-slicing" not in out
+
     def test_diff_names_file(self, model, tmp_path, capsys):
         target = self._tree(tmp_path / "target", {
             "pkg/vuln.c": VULN_SOURCE,

@@ -164,6 +164,19 @@ class TestDiffScanner:
         assert report.deltas == []
         assert not report.dirty
 
+    def test_removed_file_has_empty_frontier(self, detector, tmp_path):
+        base = write_tree(tmp_path / "base", BASE_FILES)
+        target = write_tree(tmp_path / "target", {
+            rel: text for rel, text in TARGET_FILES.items()
+            if rel != "pkg/beta.c"})
+        with ScanService(detector, workers=2, batch_size=8,
+                         fn_cache=tmp_path / "fncache") as service:
+            report = DiffScanner(service).diff(base, target)
+        assert "pkg/beta.c" in report.changed_files
+        # nothing of a deleted file is sliced
+        assert report.frontier["pkg/beta.c"] == []
+        assert "pkg/beta.c" not in report.verdicts
+
     def test_only_the_edited_component_reslices(self, detector,
                                                 tmp_path):
         base = write_tree(tmp_path / "base", BASE_FILES)

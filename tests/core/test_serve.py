@@ -439,10 +439,10 @@ class TestExtractionThread:
         calls = []
         original = CorpusExtractor.run
 
-        def spy(extractor, cases, failures=None):
+        def spy(extractor, cases, failures=None, programs=None):
             calls.append((threading.current_thread().name, len(cases),
                           [t.name for t in threading.enumerate()]))
-            return original(extractor, cases, failures)
+            return original(extractor, cases, failures, programs)
 
         monkeypatch.setattr(CorpusExtractor, "run", spy)
         with ScanService(detector, workers=2,
@@ -473,7 +473,7 @@ class TestExtractionThread:
                                                  corpus, monkeypatch):
         from repro.core.extract import CorpusExtractor
 
-        def boom(extractor, cases, failures=None):
+        def boom(extractor, cases, failures=None, programs=None):
             raise RuntimeError("extraction exploded")
 
         monkeypatch.setattr(CorpusExtractor, "run", boom)

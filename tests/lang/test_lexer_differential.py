@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 
 from repro.core import diffscan
 from repro.core.fingerprint import function_fingerprints
+from repro.core.telemetry import Telemetry
+from repro.datasets.manifest import TestCase
 from repro.lang import callgraph, source as source_module
 from repro.lang.lexer import TokenKind, tokenize
 from repro.lang.source import SourceFile, strip_preprocessor
@@ -211,8 +213,12 @@ class TestLexOnce:
         from repro.core import fingerprint
         calls = _count_lexes(monkeypatch, source_module, fingerprint)
         edited = SOURCE.replace("n + 1", "n + 2")
-        assert diffscan._file_frontier(SOURCE, edited, 3) == \
-            ["helper", "main"]
+        target = TestCase(name="f.c", source=edited, vulnerable=False,
+                          vulnerable_lines=frozenset(), cwe="",
+                          category="")
+        frontier, _ = diffscan._file_frontier(SOURCE, target, 3,
+                                              Telemetry())
+        assert frontier == ["helper", "main"]
         assert sorted(calls) == sorted([SOURCE, edited])
 
 
